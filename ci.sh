@@ -12,6 +12,14 @@ cd "$(dirname "$0")"
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# Every package must resolve inside the repository: a registry or git
+# package either fails offline resolution or appears as a `source =` line
+# in the lock file. $1 is the manifest; --offline keeps it off the network.
+lock_is_local() {
+    cargo metadata -q --offline --format-version 1 --manifest-path "$1" > /dev/null 2>&1 \
+        && ! grep -q '^source = ' "$(dirname "$1")/Cargo.lock"
+}
+
 if [[ "${1:-}" != "fast" ]]; then
     step "cargo build --release"
     cargo build --release --workspace
@@ -64,24 +72,26 @@ if [[ "${1:-}" != "fast" ]]; then
     rm -f target/ci_hok10m.ptrace
 fi
 
-step "planaria-lint --check (determinism / hot-path / API-hygiene invariants)"
+step "planaria-lint --check (determinism and concurrency invariants)"
 lint_start=$(date +%s%N)
 cargo run -q -p planaria-lint -- --check --out target/lint_report.json
 # The emitted report must itself conform to the planaria-lint-v2 schema.
 cargo run -q -p planaria-lint -- --validate target/lint_report.json
 lint_ms=$(( ( $(date +%s%N) - lint_start ) / 1000000 ))
 
-step "planaria-lint negative test (a seeded violation must fail --check)"
+step "planaria-lint negative test (a seeded R12 violation must fail --check)"
 neg_root=target/lint_negative
 rm -rf "$neg_root"
 mkdir -p "$neg_root/crates/demo/src"
-printf '[workspace]\nmembers = ["crates/demo"]\n' > "$neg_root/Cargo.toml"
-printf '[package]\nname = "demo"\nversion = "0.1.0"\nedition = "2021"\n' \
-    > "$neg_root/crates/demo/Cargo.toml"
-printf '//! Demo.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n/// Stub.\npub fn f() { todo!() }\n' \
+printf '//! Demo.\n/// Unbounded.\npub fn f() { let _ = std::sync::mpsc::channel::<u8>(); }\n' \
     > "$neg_root/crates/demo/src/lib.rs"
-if cargo run -q -p planaria-lint -- --root "$neg_root" --check > /dev/null 2>&1; then
+if cargo run -q -p planaria-lint -- --root "$neg_root" --check \
+        --out target/lint_negative.json > /dev/null 2>&1; then
     echo "planaria-lint negative test failed: seeded violation passed --check"
+    exit 1
+fi
+if ! grep -q '"rule": "R12"' target/lint_negative.json; then
+    echo "planaria-lint negative test failed: no R12 finding in the report"
     exit 1
 fi
 
@@ -91,11 +101,7 @@ step "planaria-lint R9 negative test (an *indirect* wall-clock call must fail --
 r9_root=target/lint_negative_r9
 rm -rf "$r9_root"
 mkdir -p "$r9_root/crates/demo/src"
-printf '[workspace]\nmembers = ["crates/demo"]\n' > "$r9_root/Cargo.toml"
-printf '[package]\nname = "demo"\nversion = "0.1.0"\nedition = "2021"\n' \
-    > "$r9_root/crates/demo/Cargo.toml"
-printf '//! Demo.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\npub mod clock;\npub mod driver;\n' \
-    > "$r9_root/crates/demo/src/lib.rs"
+printf '//! Demo.\npub mod clock;\npub mod driver;\n' > "$r9_root/crates/demo/src/lib.rs"
 printf '//! Clock.\n/// Direct wall-clock read.\npub fn read_clock() -> u64 {\n    let _ = std::time::Instant::now();\n    0\n}\n' \
     > "$r9_root/crates/demo/src/clock.rs"
 printf '//! Driver.\n/// Indirect: reaches the clock only through a call.\npub fn drive() -> u64 {\n    crate::clock::read_clock()\n}\n' \
@@ -113,6 +119,21 @@ if ! grep -q 'driver.rs' target/lint_negative_r9.json; then
     echo "planaria-lint R9 negative test failed: R9 did not taint driver.rs"
     exit 1
 fi
+
+step "every member inherits the workspace lints"
+# The lint table in the root Cargo.toml only reaches crates that opt in.
+for manifest in crates/*/Cargo.toml vendor/*/Cargo.toml; do
+    if ! grep -qzP '\n\[lints\]\nworkspace = true\n' "$manifest"; then
+        echo "$manifest lacks '[lints] workspace = true'"
+        exit 1
+    fi
+done
+
+step "Cargo.lock names no registry or git package"
+# crates/lint's fixture tests (run above) show that a registry or git
+# dependency fails this check, and that the retired lint rules' fixtures
+# fail clippy under the workspace lint table.
+lock_is_local Cargo.toml || { echo "Cargo.lock resolves a package outside the repository"; exit 1; }
 
 step "markdown link check (local targets must exist)"
 link_fail=0

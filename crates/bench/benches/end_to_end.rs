@@ -2,6 +2,9 @@
 //! (trace → SC → prefetcher → LPDDR4) per evaluated prefetcher — the
 //! figure-regeneration workhorse, measured.
 
+// criterion_group! emits undocumented `pub fn`s.
+#![allow(missing_docs)]
+
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -2,6 +2,9 @@
 //! learning+issuing path (the hardware model's "pipeline" cost in
 //! simulation time).
 
+// criterion_group! emits undocumented `pub fn`s.
+#![allow(missing_docs)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use planaria_sim::experiment::PrefetcherKind;
 use planaria_trace::apps::{profile, AppId};

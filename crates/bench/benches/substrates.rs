@@ -1,6 +1,9 @@
 //! Criterion micro-benchmarks of the substrates: system-cache operations
 //! and the LPDDR4 controller's command pipeline.
 
+// criterion_group! emits undocumented `pub fn`s.
+#![allow(missing_docs)]
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use planaria_cache::{CacheConfig, SetAssocCache};
 use planaria_common::{AccessKind, Cycle, PhysAddr, BLOCK_SIZE};

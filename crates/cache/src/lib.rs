@@ -27,9 +27,6 @@
 //! assert!(sc.access(addr, AccessKind::Read).is_hit());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod cache;
 mod config;
 mod mshr;

@@ -37,9 +37,6 @@
 //! assert!(pf.storage_bits() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod planaria;
 pub mod slp;
 pub mod storage;

@@ -37,9 +37,6 @@
 //! assert!(done[0].finish.as_u64() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod bank;
 mod channel;
 mod config;

@@ -14,15 +14,15 @@ use crate::rules::{Violation, RULES};
 
 /// Schema identifier of the baseline document.
 ///
-/// v2 accompanies the `planaria-lint-v2` report: entries may now name
-/// the flow-aware rules R9–R12, and unknown rule ids are rejected at
-/// parse time (a typo'd id would otherwise be a permanently-stale entry).
+/// v2 accompanies the `planaria-lint-v2` report: entries may name any
+/// id in [`RULES`], and unknown or retired rule ids are rejected at parse
+/// time (a typo'd id would otherwise be a permanently-stale entry).
 pub const BASELINE_SCHEMA: &str = "planaria-lint-baseline-v2";
 
 /// One grandfathered site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineEntry {
-    /// Rule id the site is excused from (`R1`…`R12`).
+    /// Rule id the site is excused from (one of [`RULES`]).
     pub rule: String,
     /// Workspace-relative file path.
     pub file: String,
@@ -77,9 +77,9 @@ impl Baseline {
             };
             if !RULES.iter().any(|r| r.id == entry.rule) {
                 return Err(format!(
-                    "baseline: entry {i} names unknown rule {:?} (known: R1–R{})",
+                    "baseline: entry {i} names unknown rule {:?} (known: {})",
                     entry.rule,
-                    RULES.len()
+                    RULES.map(|r| r.id).join(", ")
                 ));
             }
             if entry.justification.trim().is_empty() {
@@ -139,7 +139,8 @@ mod tests {
 
     #[test]
     fn unknown_rule_ids_are_rejected() {
-        for bad in ["R0", "R13", "R99", "X2"] {
+        // R1/R3/R4/R7/R8/R11 were retired to rustc, clippy and Cargo.lock.
+        for bad in ["R0", "R1", "R3", "R4", "R7", "R8", "R11", "R13", "R99", "X2"] {
             let text = format!(
                 r#"{{"schema": "planaria-lint-baseline-v2", "entries": [
                     {{"rule": "{bad}", "file": "f.rs", "pattern": "x", "justification": "y"}}

@@ -4,53 +4,51 @@
 //! The repository's value proposition — bit-identical simulation results
 //! at any thread count and under any hasher — used to rest on runtime
 //! tests alone. This crate machine-checks the invariants at the source
-//! level, so a future PR cannot quietly reintroduce a seeded `HashMap`
-//! in a hot path, a wall-clock read inside the simulated core, or a
-//! registry dependency the offline build environment cannot fetch.
+//! level, so a future PR cannot quietly reintroduce a wall-clock read
+//! inside the simulated core or let hash-map order leak into output.
 //!
 //! The analyzer is deliberately dependency-free: a hand-rolled
 //! comment/string-aware [`lexer`] (no `syn` — consistent with the
 //! no-registry vendoring policy) feeds a brace-matched item-tree parser
 //! ([`syntax`]), a workspace call-graph approximation ([`callgraph`])
-//! and twelve [`rules`] — eight token-level, four flow-aware:
+//! and six [`rules`]: R9 walks the call graph, the other five scan one
+//! file's tokens each:
 //!
 //! | id  | invariant |
 //! |-----|-----------|
-//! | R1  | hot-path crates use `planaria_hash` maps, never default-hasher `HashMap`/`HashSet` |
 //! | R2  | no `Instant::now`/`SystemTime`/`thread_rng`/`std::env` outside the timing allowlist |
-//! | R3  | no `.unwrap()` outside test code |
-//! | R4  | every crate root carries `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]` |
 //! | R5  | no float accumulation driven by hash-map iteration order |
 //! | R6  | JSON emitters route through `planaria_common::json` |
-//! | R7  | no `todo!`/`dbg!`/`unimplemented!` |
-//! | R8  | imports and manifests resolve only to workspace/vendored crates |
 //! | R9  | no function may transitively *reach* a wall clock through calls (call-graph R2) |
 //! | R10 | no hash-map iteration flowing into ordered sinks without a sort |
-//! | R11 | parsing modules use checked conversions, never narrowing `as` casts |
 //! | R12 | no unbounded channels, no `Rc`/`RefCell` in `Send` device state, no hot-crate locks |
+//!
+//! The retired ids R1, R3, R4, R7, R8 and R11 are checks the toolchain
+//! performs: the root `[workspace.lints]` table (`unsafe_code`,
+//! `missing_docs`, `clippy::{unwrap_used, todo, dbg_macro,
+//! unimplemented}`), the hot crates' `clippy.toml` `disallowed-types`,
+//! `#![deny(clippy::cast_possible_truncation)]` in the parsing modules,
+//! and `ci.sh`'s offline `Cargo.lock` check.
 //!
 //! Violations can be grandfathered in a committed [`baseline`] file
 //! (schema `planaria-lint-baseline-v2`), each entry carrying a required
 //! justification; the shipped baseline is empty. Results are emitted as a
 //! fixed-key-order `planaria-lint-v2` JSON [`report`] that also carries
 //! the call-graph size, and `ci.sh` runs `planaria-lint --check` on every
-//! gate. See `DESIGN.md` §9 (token rules) and §11 (structural analysis)
-//! for the full rationale and workflow.
+//! gate. See `DESIGN.md` §9 (token rules and the toolchain lints) and §11
+//! (structural analysis) for the full rationale and workflow.
 //!
 //! # Examples
 //!
 //! ```
 //! use planaria_lint::rules::{lint_source, Config, FileMeta};
 //!
-//! let meta = FileMeta::for_path("crates/core/src/demo.rs").expect("classifiable");
-//! let bad = "pub fn f() { let x: Option<u32> = None; x.unwrap(); }";
+//! let meta = FileMeta::for_path("crates/serve/src/demo.rs").expect("classifiable");
+//! let bad = "pub fn f() { let (tx, rx) = std::sync::mpsc::channel::<u8>(); }";
 //! let violations = lint_source(&meta, bad, &Config::default());
 //! assert_eq!(violations.len(), 1);
-//! assert_eq!(violations[0].rule, "R3");
+//! assert_eq!(violations[0].rule, "R12");
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod baseline;
 pub mod callgraph;
@@ -58,13 +56,16 @@ pub mod lexer;
 pub mod report;
 pub mod rules;
 pub mod syntax;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod toolchain;
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use baseline::Baseline;
 use report::Outcome;
-use rules::{lint_manifest, Config, FileMeta, Violation};
+use rules::{Config, FileMeta, Violation};
 
 /// One classified source file queued for a [`lint_files`] run.
 #[derive(Debug, Clone)]
@@ -115,77 +116,18 @@ const SCAN_ROOTS: [&str; 5] = ["crates", "vendor", "tests", "examples", "benches
 /// must not count as workspace sources.
 const SKIP_DIRS: [&str; 3] = ["target", ".git", "fixtures"];
 
-/// Builds the scan [`Config`] for a workspace: the default rule
-/// parameters plus the crate identifiers found in member manifests
-/// (consulted by rule R8's import check).
-///
-/// # Errors
-///
-/// Fails only on unreadable member directories.
-pub fn workspace_config(root: &Path) -> Result<Config, String> {
-    let mut config = Config::default();
-    for dir in ["crates", "vendor"] {
-        let base = root.join(dir);
-        if !base.is_dir() {
-            continue;
-        }
-        for member in sorted_entries(&base)? {
-            let manifest = member.join("Cargo.toml");
-            let Ok(text) = fs::read_to_string(&manifest) else { continue };
-            if let Some(name) = package_name(&text) {
-                config.crate_idents.push(name.replace('-', "_"));
-            }
-        }
-    }
-    Ok(config)
-}
-
-/// Extracts `name = "…"` from a manifest's `[package]` section.
-fn package_name(manifest: &str) -> Option<String> {
-    let mut in_package = false;
-    for line in manifest.lines() {
-        let line = line.trim();
-        if line.starts_with('[') {
-            in_package = line == "[package]";
-            continue;
-        }
-        if !in_package {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("name") {
-            let rest = rest.trim_start();
-            if let Some(value) = rest.strip_prefix('=') {
-                return Some(value.trim().trim_matches('"').to_string());
-            }
-        }
-    }
-    None
-}
-
 /// Lints the whole workspace under `root` against `baseline`.
 ///
-/// Scans every member crate's sources, the top-level `tests/` and
-/// `examples/` trees and all `Cargo.toml` manifests; applies the
-/// baseline; returns the aggregated, deterministically-ordered outcome.
+/// Scans every member crate's sources and the top-level `tests/` and
+/// `examples/` trees; applies the baseline; returns the aggregated,
+/// deterministically-ordered outcome.
 ///
 /// # Errors
 ///
 /// Fails on I/O errors (unreadable directories or files).
 pub fn run_workspace(root: &Path, baseline: &Baseline) -> Result<Outcome, String> {
-    let config = workspace_config(root)?;
-    let mut violations = Vec::new();
-    let mut files_scanned = 0usize;
-
-    // Root manifest (workspace dependency declarations).
-    let root_manifest = root.join("Cargo.toml");
-    if root_manifest.is_file() {
-        let text = read(&root_manifest)?;
-        violations.extend(lint_manifest("Cargo.toml", &text));
-        files_scanned += 1;
-    }
-
-    // Phase 1: walk the tree, linting manifests inline and collecting
-    // every Rust source — the call-graph pass needs all files at once.
+    // Phase 1: walk the tree collecting every Rust source — the
+    // call-graph pass needs all files at once.
     let mut sources: Vec<SourceFile> = Vec::new();
     for top in SCAN_ROOTS {
         let base = root.join(top);
@@ -203,30 +145,22 @@ pub fn run_workspace(root: &Path, baseline: &Baseline) -> Result<Outcome, String
                     }
                     continue;
                 }
-                let rel = relative_label(root, &entry);
-                if name == "Cargo.toml" {
-                    violations.extend(lint_manifest(&rel, &read(&entry)?));
-                    files_scanned += 1;
-                } else if name.ends_with(".rs") {
-                    if let Some(meta) = FileMeta::for_path(&rel) {
+                if name.ends_with(".rs") {
+                    if let Some(meta) = FileMeta::for_path(&relative_label(root, &entry)) {
                         sources.push(SourceFile { meta, text: read(&entry)? });
-                        files_scanned += 1;
                     }
                 }
             }
         }
     }
 
-    // Phase 2: rules + call graph over the collected set.
-    let run = lint_files(&sources, &config);
-    violations.extend(run.violations);
-    violations
-        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+    // Phase 2: rules + call graph over the collected set (sorted output).
+    let run = lint_files(&sources, &Config::default());
 
     let mut used = vec![false; baseline.entries.len()];
     let mut kept = Vec::new();
     let mut suppressed = Vec::new();
-    for v in violations {
+    for v in run.violations {
         if baseline.matches(&v, &mut used) {
             suppressed.push(v);
         } else {
@@ -237,7 +171,7 @@ pub fn run_workspace(root: &Path, baseline: &Baseline) -> Result<Outcome, String
         baseline.entries.iter().zip(&used).filter(|(_, u)| !**u).map(|(e, _)| e.clone()).collect();
 
     Ok(Outcome {
-        files_scanned,
+        files_scanned: sources.len(),
         functions: run.functions,
         call_edges: run.call_edges,
         violations: kept,

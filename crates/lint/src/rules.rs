@@ -2,10 +2,10 @@
 //!
 //! Every rule works on the token stream produced by [`crate::lexer`], so
 //! rule-triggering text inside comments, doc comments and string literals
-//! never false-positives. Rules that only make sense outside test code
-//! (R1, R2, R3, R5) additionally skip `#[cfg(test)]`-gated regions and
-//! test files (`tests/`, `benches/`) — tests may use std maps, wall
-//! clocks and `unwrap()` freely.
+//! never false-positives. The rules about production behaviour (R2, R5,
+//! R9, R10, R12) additionally skip `#[cfg(test)]`-gated regions and test
+//! files (`tests/`, `benches/`) — tests may read wall clocks, iterate
+//! maps and spawn channels freely.
 
 use crate::lexer::{lex, Token, TokenKind};
 
@@ -34,9 +34,6 @@ pub struct FileMeta {
     pub origin: Origin,
     /// True for files under any `tests/` or `benches/` directory.
     pub is_test_file: bool,
-    /// True for `src/lib.rs` of a workspace member (where R4 looks for
-    /// the crate-level lint attributes).
-    pub is_crate_root: bool,
 }
 
 impl FileMeta {
@@ -61,18 +58,14 @@ impl FileMeta {
             }
             Origin::Examples => false,
         };
-        let is_crate_root = matches!(origin, Origin::FirstParty | Origin::Vendor)
-            && parts.len() == 4
-            && parts[2] == "src"
-            && parts[3] == "lib.rs";
-        Some(FileMeta { path: rel.to_string(), crate_name, origin, is_test_file, is_crate_root })
+        Some(FileMeta { path: rel.to_string(), crate_name, origin, is_test_file })
     }
 }
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`R1`…`R12`).
+    /// Rule id (one of [`RULES`]).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -88,7 +81,7 @@ pub struct Violation {
 /// and the report.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Stable id (`R1`…`R12`).
+    /// Stable id (`R2`, `R5`, …; retired ids are never reused).
     pub id: &'static str,
     /// Short kebab-case name.
     pub name: &'static str,
@@ -103,19 +96,7 @@ pub struct RuleInfo {
 }
 
 /// All rules, in id order.
-pub const RULES: [RuleInfo; 12] = [
-    RuleInfo {
-        id: "R1",
-        name: "hot-path-hasher",
-        summary: "hot-path crates must use planaria_hash containers (FastHashMap/FastHashSet/\
-                  FixedIndex), not default-hasher HashMap/HashSet",
-        rationale: "std's default hasher is SipHash with a per-process random seed: it is slow \
-                    on the per-access lookup paths and its iteration order varies run to run, \
-                    which breaks the bit-identical-results guarantee the moment order leaks.",
-        fires: "use std::collections::HashMap;\nlet m: HashMap<u64, u64> = HashMap::new();",
-        clean: "use planaria_hash::FastHashMap;\nlet m: FastHashMap<u64, u64> = \
-                FastHashMap::default();",
-    },
+pub const RULES: [RuleInfo; 6] = [
     RuleInfo {
         id: "R2",
         name: "no-wall-clock",
@@ -125,25 +106,6 @@ pub const RULES: [RuleInfo; 12] = [
                     the allowlisted runner/bench layer.",
         fires: "let t0 = std::time::Instant::now();",
         clean: "fn step(&mut self, now: Cycle) { /* time arrives as data */ }",
-    },
-    RuleInfo {
-        id: "R3",
-        name: "no-unwrap",
-        summary: "no .unwrap() outside test code; use expect(\"invariant\") or propagate",
-        rationale: ".unwrap() erases which invariant was violated; a panic message naming the \
-                    broken assumption is the difference between a five-minute fix and a \
-                    debugging session.",
-        fires: "let v = map.get(&k).unwrap();",
-        clean: "let v = map.get(&k).expect(\"key inserted by the constructor\");",
-    },
-    RuleInfo {
-        id: "R4",
-        name: "crate-root-attrs",
-        summary: "crate roots must carry #![forbid(unsafe_code)] and #![warn(missing_docs)]",
-        rationale: "the whole workspace is safe Rust and rustdoc -D warnings gates CI; both \
-                    properties are only machine-checked if every crate root opts in.",
-        fires: "//! Crate docs.\npub fn f() {}",
-        clean: "//! Crate docs.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\npub fn f() {}",
     },
     RuleInfo {
         id: "R5",
@@ -163,24 +125,6 @@ pub const RULES: [RuleInfo; 12] = [
                     become schema hazards. One shared writer keeps equal reports byte-identical.",
         fires: "fn escape_json(s: &str) -> String { /* local copy */ String::new() }",
         clean: "use planaria_common::json::Writer;\nlet mut w = Writer::pretty();",
-    },
-    RuleInfo {
-        id: "R7",
-        name: "no-debug-macros",
-        summary: "no todo!/dbg!/unimplemented! anywhere in committed code",
-        rationale: "todo!()/unimplemented!() are runtime landmines on untested branches and \
-                    dbg!() pollutes stderr that CI parses; none belong in committed code.",
-        fires: "fn handle(x: u8) { todo!(\"later\") }",
-        clean: "fn handle(x: u8) -> Result<(), Error> { Err(Error::Unsupported(x)) }",
-    },
-    RuleInfo {
-        id: "R8",
-        name: "vendored-deps-only",
-        summary: "imports and manifests may only name workspace or vendored crates",
-        rationale: "the build environment has no registry access; a crates.io dependency \
-                    compiles on the author's machine and breaks everywhere else.",
-        fires: "[dependencies]\nserde = \"1.0\"",
-        clean: "[dependencies]\nserde = { path = \"../../vendor/serde\" }",
     },
     RuleInfo {
         id: "R9",
@@ -208,18 +152,6 @@ pub const RULES: [RuleInfo; 12] = [
                 for (_, v) in items { out.push(v); }",
     },
     RuleInfo {
-        id: "R11",
-        name: "checked-narrowing",
-        summary: "parsing/deserialization modules must not use narrowing `as` casts; use \
-                  From/try_from/checked conversions",
-        rationale: "`count as usize` on attacker-controlled or on-disk data silently truncates \
-                    out-of-range values into plausible small ones; try_from turns the same \
-                    situation into a typed, testable error (FieldTooLarge).",
-        fires: "let n = header_count as usize; // u64 from disk",
-        clean: "let n = usize::try_from(header_count)\n    .map_err(|_| ParseTraceError::\
-                FieldTooLarge { what: \"count\", value: header_count, max: MAX as u64 })?;",
-    },
-    RuleInfo {
         id: "R12",
         name: "concurrency-hygiene",
         summary: "no unbounded channels anywhere; no Rc/RefCell in Send device state; no locks \
@@ -233,21 +165,13 @@ pub const RULES: [RuleInfo; 12] = [
 ];
 
 /// Scan configuration: which crates are hot, which paths may read wall
-/// clocks, which top-level crate names imports may resolve to.
+/// clocks, which crates hold `Send` device state.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Crate directory names whose maps must come from `planaria-hash`.
+    /// Per-access hot-path crates, where locks are banned (rule R12).
     pub hot_crates: Vec<String>,
     /// Path prefixes allowed to use wall-clock / environment sources.
     pub nondet_allow: Vec<String>,
-    /// Top-level identifiers `use` declarations may start with, beyond
-    /// the built-ins (`std`, `core`, `alloc`, `crate`, `self`, `super`,
-    /// `proc_macro`). Populated from the workspace member directories.
-    pub crate_idents: Vec<String>,
-    /// Files whose parsing/deserialization code must use checked
-    /// conversions instead of narrowing `as` casts (rule R11). Matched
-    /// as path prefixes.
-    pub narrow_cast_paths: Vec<String>,
     /// Crate directory names whose device state must stay `Send`: no
     /// `Rc`/`RefCell` (rule R12).
     pub send_state_crates: Vec<String>,
@@ -276,17 +200,6 @@ impl Default for Config {
             .iter()
             .map(|s| s.to_string())
             .collect(),
-            crate_idents: Vec::new(),
-            narrow_cast_paths: [
-                // On-disk trace codec: every length/count field is
-                // adversarial until bounds-checked.
-                "crates/trace/src/io.rs",
-                // Snapshot restore parses operator-supplied JSON.
-                "crates/serve/src/snapshot.rs",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
             send_state_crates: ["serve"].iter().map(|s| s.to_string()).collect(),
             lock_allow: [
                 // The runner's cross-thread trace cache and sample sink
@@ -311,8 +224,8 @@ pub fn lint_source(meta: &FileMeta, source: &str, config: &Config) -> Vec<Violat
     crate::lint_files(&files, config).violations
 }
 
-/// The token-level half of [`lint_source`]: rules R1–R8 and R10–R12,
-/// which need only this one file's tokens.
+/// The token-level half of [`lint_source`]: every rule except R9, each
+/// needing only this one file's tokens.
 pub(crate) fn lint_source_tokens(meta: &FileMeta, source: &str, config: &Config) -> Vec<Violation> {
     let tokens = lex(source);
     let in_test = test_regions(&tokens);
@@ -320,112 +233,14 @@ pub(crate) fn lint_source_tokens(meta: &FileMeta, source: &str, config: &Config)
     let mut out = Vec::new();
 
     let ctx = Ctx { meta, tokens: &tokens, in_test: &in_test, lines: &lines, config };
-    rule_hot_path_hasher(&ctx, &mut out);
     rule_no_wall_clock(&ctx, &mut out);
-    rule_no_unwrap(&ctx, &mut out);
-    rule_crate_root_attrs(&ctx, &mut out);
     rule_no_map_order_floats(&ctx, &mut out);
     rule_shared_json(&ctx, &mut out);
-    rule_no_debug_macros(&ctx, &mut out);
-    rule_vendored_imports(&ctx, &mut out);
     rule_map_order_sinks(&ctx, &mut out);
-    rule_checked_narrowing(&ctx, &mut out);
     rule_concurrency_hygiene(&ctx, &mut out);
 
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
-}
-
-/// Lints one `Cargo.toml` (rule R8: no registry/git dependencies).
-pub fn lint_manifest(rel_path: &str, source: &str) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mut in_dep_section = false;
-    // `[dependencies.name]` multi-line tables: remember the header until
-    // the section closes, then require a path/workspace key inside.
-    let mut pending_table: Option<(u32, String)> = None;
-    let mut pending_ok = false;
-
-    let flush_pending =
-        |pending: &mut Option<(u32, String)>, ok: bool, out: &mut Vec<Violation>| {
-            if let Some((line, snippet)) = pending.take() {
-                if !ok {
-                    out.push(Violation {
-                        rule: "R8",
-                        file: rel_path.to_string(),
-                        line,
-                        snippet,
-                        message: "dependency table without `path` or `workspace = true` implies \
-                                  a registry dependency; vendor it instead"
-                            .to_string(),
-                    });
-                }
-            }
-        };
-
-    for (idx, raw) in source.lines().enumerate() {
-        let line_no = (idx + 1) as u32;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('[') {
-            flush_pending(&mut pending_table, pending_ok, &mut out);
-            pending_ok = false;
-            let section = line.trim_matches(['[', ']']);
-            let is_dep_table = section.ends_with("dependencies");
-            in_dep_section = is_dep_table;
-            if !is_dep_table {
-                if let Some((table, _name)) = section.rsplit_once('.') {
-                    if table.ends_with("dependencies") {
-                        pending_table = Some((line_no, snippet_of(raw)));
-                    }
-                }
-            }
-            continue;
-        }
-        if pending_table.is_some() {
-            if line.starts_with("path") || line == "workspace = true" {
-                pending_ok = true;
-            }
-            if line.starts_with("git") || line.starts_with("version") {
-                // Tracked by the table-level check; a `git` key is its own
-                // violation even when a path is also present.
-                if line.starts_with("git") {
-                    out.push(manifest_violation(rel_path, line_no, raw));
-                }
-            }
-            continue;
-        }
-        if !in_dep_section {
-            continue;
-        }
-        // One dependency per line: `name = "1.0"` or `name = { … }`.
-        let Some((_name, value)) = line.split_once('=') else { continue };
-        let value = value.trim();
-        let registry_like = value.starts_with('"')
-            || value.contains("git =")
-            || value.contains("git=")
-            || (value.starts_with('{')
-                && !value.contains("path")
-                && !value.contains("workspace = true"));
-        if registry_like {
-            out.push(manifest_violation(rel_path, line_no, raw));
-        }
-    }
-    flush_pending(&mut pending_table, pending_ok, &mut out);
-    out
-}
-
-fn manifest_violation(rel_path: &str, line: u32, raw: &str) -> Violation {
-    Violation {
-        rule: "R8",
-        file: rel_path.to_string(),
-        line,
-        snippet: snippet_of(raw),
-        message: "dependency does not resolve to a workspace path; the build environment has \
-                  no registry access — vendor the crate under vendor/ instead"
-            .to_string(),
-    }
 }
 
 struct Ctx<'a> {
@@ -563,34 +378,6 @@ pub(crate) fn test_regions(tokens: &[Token]) -> Vec<bool> {
     in_test
 }
 
-/// R1 — default-hasher `HashMap`/`HashSet` in hot-path crates.
-fn rule_hot_path_hasher(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if ctx.meta.origin != Origin::FirstParty
-        || !ctx.config.hot_crates.contains(&ctx.meta.crate_name)
-        || ctx.meta.is_test_file
-    {
-        return;
-    }
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        if !ctx.is_prod(i) {
-            continue;
-        }
-        if t.is_ident("HashMap") || t.is_ident("HashSet") {
-            ctx.emit(
-                out,
-                "R1",
-                t.line,
-                format!(
-                    "std::collections::{} uses the seeded SipHash default; hot-path crates must \
-                     use planaria_hash::Fast{} (deterministic FxHash) — or, on per-access lookup \
-                     paths with a fixed entry budget, planaria_hash::FixedIndex",
-                    t.text, t.text
-                ),
-            );
-        }
-    }
-}
-
 /// Recognises a direct wall-clock / nondeterminism pattern at token `i`:
 /// `SystemTime`, `thread_rng`, `from_entropy`, `Instant::now`,
 /// `std::env`. Returns what was reached. Shared between R2 (call-site
@@ -638,79 +425,6 @@ fn rule_no_wall_clock(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
                 ),
             );
         }
-    }
-}
-
-/// R3 — `.unwrap()` outside test code.
-fn rule_no_unwrap(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if !ctx.first_party_prod() {
-        return;
-    }
-    let toks = ctx.tokens;
-    for i in 0..toks.len() {
-        if !ctx.is_prod(i) {
-            continue;
-        }
-        if toks[i].is_ident("unwrap")
-            && i > 0
-            && toks[i - 1].is_punct('.')
-            && matches!(toks.get(i + 1), Some(p) if p.is_punct('('))
-        {
-            ctx.emit(
-                out,
-                "R3",
-                toks[i].line,
-                ".unwrap() hides the violated invariant; use expect(\"why this cannot fail\") \
-                 or propagate the error"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// R4 — crate roots must carry the two crate-level lint attributes.
-fn rule_crate_root_attrs(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if !ctx.meta.is_crate_root {
-        return;
-    }
-    let toks = ctx.tokens;
-    let mut has_forbid_unsafe = false;
-    let mut has_missing_docs = false;
-    for i in 0..toks.len() {
-        // Inner attribute: `#` `!` `[` ident `(` ident `)` `]`.
-        if toks[i].is_punct('#')
-            && matches!(toks.get(i + 1), Some(t) if t.is_punct('!'))
-            && matches!(toks.get(i + 2), Some(t) if t.is_punct('['))
-        {
-            let level = toks.get(i + 3);
-            let arg = toks.get(i + 5);
-            let is_level = |t: &Option<&Token>, names: &[&str]| {
-                t.is_some_and(|t| names.iter().any(|n| t.is_ident(n)))
-            };
-            if is_level(&level, &["forbid", "deny"]) && is_level(&arg, &["unsafe_code"]) {
-                has_forbid_unsafe = true;
-            }
-            if is_level(&level, &["warn", "deny", "forbid"]) && is_level(&arg, &["missing_docs"]) {
-                has_missing_docs = true;
-            }
-        }
-    }
-    if !has_forbid_unsafe {
-        ctx.emit(
-            out,
-            "R4",
-            1,
-            "crate root lacks #![forbid(unsafe_code)] (the whole workspace is safe Rust)"
-                .to_string(),
-        );
-    }
-    if !has_missing_docs {
-        ctx.emit(
-            out,
-            "R4",
-            1,
-            "crate root lacks #![warn(missing_docs)] (rustdoc -D warnings gates CI)".to_string(),
-        );
     }
 }
 
@@ -824,83 +538,6 @@ fn rule_shared_json(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
                 ),
             );
         }
-    }
-}
-
-/// R7 — leftover debug/stub macros.
-fn rule_no_debug_macros(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    const BANNED: [&str; 3] = ["todo", "dbg", "unimplemented"];
-    let toks = ctx.tokens;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind == TokenKind::Ident
-            && BANNED.contains(&t.text.as_str())
-            && matches!(toks.get(i + 1), Some(p) if p.is_punct('!'))
-            && matches!(toks.get(i + 2), Some(p) if p.is_punct('('))
-        {
-            ctx.emit(
-                out,
-                "R7",
-                t.line,
-                format!("{}!() must not land on any branch (tests included)", t.text),
-            );
-        }
-    }
-}
-
-/// R8 (source half) — `use` declarations may only name known crates.
-fn rule_vendored_imports(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    const BUILTIN: [&str; 7] = ["std", "core", "alloc", "crate", "self", "super", "proc_macro"];
-    // Edition-2021 uniform paths also resolve `use foo::…` against items of
-    // the *current module*; collect every ident this file declares (module,
-    // type, `as` rename) so sibling-module re-exports are not flagged.
-    const DECL_KEYWORDS: [&str; 9] =
-        ["mod", "struct", "enum", "trait", "type", "fn", "union", "as", "macro_rules"];
-    let toks = ctx.tokens;
-    let mut local: Vec<&str> = Vec::new();
-    for w in toks.windows(2) {
-        if w[0].kind == TokenKind::Ident
-            && w[1].kind == TokenKind::Ident
-            && DECL_KEYWORDS.contains(&w[0].text.as_str())
-        {
-            local.push(w[1].text.as_str());
-        }
-    }
-    for i in 0..toks.len() {
-        if !toks[i].is_ident("use") {
-            continue;
-        }
-        // Item position: start of file or after `;`, `}`, `{`, or an
-        // attribute's closing `]` / visibility `pub`/`)`. Expression uses
-        // of the word (none in practice — `use` is a keyword) are fine.
-        let mut j = i + 1;
-        // Skip leading `::` of `use ::foo` paths.
-        while j < toks.len() && toks[j].is_punct(':') {
-            j += 1;
-        }
-        let Some(first) = toks.get(j) else { continue };
-        if first.kind != TokenKind::Ident {
-            continue;
-        }
-        // Only flag single-segment-rooted paths: `use foo::…` / `use foo;`
-        // (grouped imports `use {a, b}` start with '{' and are not used
-        // in this workspace).
-        let seg = first.text.as_str();
-        if BUILTIN.contains(&seg)
-            || ctx.config.crate_idents.iter().any(|c| c == seg)
-            || local.contains(&seg)
-        {
-            continue;
-        }
-        ctx.emit(
-            out,
-            "R8",
-            toks[i].line,
-            format!(
-                "`use {seg}::…` does not resolve to a workspace or vendored crate; the build \
-                 environment has no registry access"
-            ),
-        );
     }
 }
 
@@ -1144,36 +781,6 @@ fn rule_map_order_sinks(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-/// Integer types a cast *into* can lose bits or sign.
-const NARROW_TARGETS: [&str; 8] = ["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
-
-/// R11 — narrowing `as` casts in parsing/deserialization modules.
-fn rule_checked_narrowing(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if !ctx.config.narrow_cast_paths.iter().any(|p| ctx.meta.path.starts_with(p.as_str())) {
-        return;
-    }
-    let toks = ctx.tokens;
-    for i in 0..toks.len() {
-        if !ctx.is_prod(i) || !toks[i].is_ident("as") {
-            continue;
-        }
-        let Some(target) = toks.get(i + 1) else { continue };
-        if NARROW_TARGETS.iter().any(|n| target.is_ident(n)) {
-            ctx.emit(
-                out,
-                "R11",
-                toks[i].line,
-                format!(
-                    "`as {}` silently truncates out-of-range values; this file parses external \
-                     data, so use {}::try_from / From and surface a typed error \
-                     (FieldTooLarge-style) instead",
-                    target.text, target.text
-                ),
-            );
-        }
-    }
-}
-
 /// Lock type names banned from hot crates (R12c).
 const LOCK_TYPES: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
 
@@ -1244,27 +851,7 @@ fn rule_concurrency_hygiene(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn meta(path: &str) -> FileMeta {
-        FileMeta::for_path(path).expect("classifiable path")
-    }
-
-    fn cfg() -> Config {
-        Config {
-            crate_idents: ["planaria_common", "planaria_hash", "rand", "serde"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            ..Config::default()
-        }
-    }
-
-    fn rules_fired(path: &str, src: &str) -> Vec<&'static str> {
-        let mut ids: Vec<&'static str> =
-            lint_source(&meta(path), src, &cfg()).into_iter().map(|v| v.rule).collect();
-        ids.dedup();
-        ids
-    }
+    use crate::toolchain;
 
     #[test]
     fn cfg_test_regions_are_exempt() {
@@ -1272,52 +859,80 @@ mod tests {
             pub fn prod() {}
             #[cfg(test)]
             mod tests {
-                use std::collections::HashMap;
                 #[test]
-                fn t() { let m: HashMap<u64, u64> = HashMap::new(); m.len(); }
+                fn t() { let t0 = std::time::Instant::now(); let _ = t0.elapsed(); }
             }
         ";
-        assert!(rules_fired("crates/core/src/x.rs", src).is_empty());
+        let meta = FileMeta::for_path("crates/core/src/x.rs").expect("classifiable path");
+        assert!(lint_source(&meta, src, &Config::default()).is_empty());
+    }
+
+    /// A hot crate's `clippy.toml` (retired R1) over library code holding
+    /// a std map (`std_map.rs`) and the sanctioned `planaria_hash`
+    /// replacements (`approved.rs`): `FastHashMap`/`FastHashSet` for
+    /// general maps, `FixedIndex` for the fixed-capacity page→slot tables
+    /// on the SLP/TLP per-access paths.
+    fn hot_crate_maps() -> &'static toolchain::Findings {
+        static RUN: std::sync::OnceLock<toolchain::Findings> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| {
+            toolchain::clippy(
+                "retired-rule-r1",
+                "crates/cache/clippy.toml",
+                "[dependencies]\nplanaria-hash = { path = \"{repo}/vendor/planaria-hash\" }\n",
+                &[
+                    ("lib.rs", "//! Maps.\n\npub mod approved;\npub mod std_map;\n"),
+                    (
+                        "std_map.rs",
+                        "//! Std map.\n\nuse std::collections::HashMap;\n\n\
+                         /// Default hasher.\npub fn f() -> HashMap<u64, u64> {\n    \
+                         HashMap::new()\n}\n",
+                    ),
+                    (
+                        "approved.rs",
+                        "//! Approved maps.\n\n\
+                         use planaria_hash::{FastHashMap, FastHashSet, FixedIndex};\n\n\
+                         /// Sanctioned containers.\n\
+                         pub fn f() -> (FastHashMap<u64, u64>, FastHashSet<u64>, FixedIndex) {\n    \
+                         (FastHashMap::default(), FastHashSet::default(), \
+                         FixedIndex::with_capacity(128))\n}\n",
+                    ),
+                ],
+            )
+        })
     }
 
     #[test]
     fn hot_crate_hashmap_fires_outside_tests() {
-        let src =
-            "use std::collections::HashMap;\npub fn f() -> HashMap<u64, u64> { HashMap::new() }\n";
-        assert_eq!(rules_fired("crates/cache/src/x.rs", src), ["R1"]);
-        // Same file in a non-hot crate: only the import rule is clean too.
-        assert!(rules_fired("crates/telemetry/src/x.rs", src).is_empty());
+        assert!(hot_crate_maps().count("clippy::disallowed_types", "std_map.rs") >= 2);
     }
 
     #[test]
     fn approved_hot_path_containers_do_not_fire() {
-        // The planaria_hash containers are the sanctioned replacements:
-        // FastHashMap/FastHashSet for general maps, FixedIndex for the
-        // fixed-capacity open-addressed page→slot tables on the SLP/TLP
-        // per-access paths. None of them may trip R1 in a hot crate.
-        let src = "
-            use planaria_hash::{FastHashMap, FastHashSet, FixedIndex};
-            pub fn f() -> (FastHashMap<u64, u64>, FastHashSet<u64>, FixedIndex) {
-                (FastHashMap::default(), FastHashSet::default(), FixedIndex::with_capacity(128))
-            }
-        ";
-        assert!(rules_fired("crates/core/src/x.rs", src).is_empty());
-        assert!(rules_fired("crates/sim/src/x.rs", src).is_empty());
+        assert_eq!(hot_crate_maps().count("clippy::disallowed_types", "approved.rs"), 0);
+        // The crate was linted: a seeded use of a std map beside it fired.
+        assert!(hot_crate_maps().count("clippy::disallowed_types", "std_map.rs") > 0);
+    }
+
+    /// A manifest of `package` with one `[dependencies]` entry.
+    fn manifest(package: &str, dependency: &str) -> String {
+        format!(
+            "[package]\nname = \"{package}\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n\
+             [dependencies]\n{dependency}\n"
+        )
     }
 
     #[test]
     fn manifest_registry_dep_is_flagged() {
-        let bad = "[dependencies]\nserde = \"1.0\"\nrand = { path = \"../rand\" }\n";
-        let v = lint_manifest("crates/x/Cargo.toml", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 2);
-        let good = "[dependencies]\nrand = { workspace = true }\n\n[dev-dependencies]\nproptest = { path = \"../../vendor/proptest\" }\n";
-        assert!(lint_manifest("crates/x/Cargo.toml", good).is_empty());
+        // Retired R8: a registry package fails the offline lock check.
+        let bad = manifest("registry-dep", "rayon = \"1.10\"");
+        assert!(!toolchain::lock_is_local("registry-dep", &bad));
+        let good = manifest("path-dep", "rand = { path = \"{repo}/vendor/rand\" }");
+        assert!(toolchain::lock_is_local("path-dep", &good));
     }
 
     #[test]
     fn manifest_git_dep_is_flagged() {
-        let bad = "[dependencies]\nfoo = { git = \"https://example.com/foo\" }\n";
-        assert_eq!(lint_manifest("crates/x/Cargo.toml", bad).len(), 1);
+        let bad = manifest("git-dep", "foo = { git = \"https://example.com/foo\" }");
+        assert!(!toolchain::lock_is_local("git-dep", &bad));
     }
 }

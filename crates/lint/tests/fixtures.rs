@@ -1,22 +1,68 @@
 //! Per-rule fixture tests: every bad fixture trips exactly its own rule,
 //! the clean fixtures trip nothing, and trigger text hidden in strings
-//! or comments stays invisible.
+//! or comments stays invisible. The fixtures of the rules retired to the
+//! toolchain (R1, R3, R4, R7, R8, R11) must trip the clippy lint, rustc
+//! error or lock check that replaced each one.
 
-use planaria_lint::rules::{lint_manifest, lint_source, Config, FileMeta, Violation};
+mod support;
 
-fn config() -> Config {
-    Config {
-        crate_idents: ["planaria_common", "planaria_hash", "planaria_core"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        ..Config::default()
-    }
+use std::sync::OnceLock;
+
+use planaria_lint::rules::{lint_source, Config, FileMeta, Violation};
+use support::{clippy, lock_is_local, repo_file, Findings};
+
+/// The inner attribute that guards the two parsing modules (retired R11).
+const TRUNCATION_GUARD: &str = "#![deny(clippy::cast_possible_truncation)]";
+
+/// The retired rules' fixtures in one scratch crate under a hot crate's
+/// `clippy.toml`. `lib.rs` is the R4 fixture, a crate root with no lint
+/// attributes of its own; `other.rs` is the same fixture as a submodule;
+/// `io.rs` is the R11 fixture behind the parsing modules' guard.
+fn hot_crate() -> &'static Findings {
+    static RUN: OnceLock<Findings> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let root = format!(
+            "{}\npub mod io;\npub mod other;\npub mod r1;\npub mod r3;\npub mod r7;\n",
+            include_str!("fixtures/bad_r4.rs")
+        );
+        let io = format!("{TRUNCATION_GUARD}\n{}", include_str!("fixtures/bad_r11.rs"));
+        clippy(
+            "retired-rules-hot",
+            "crates/core/clippy.toml",
+            "",
+            &[
+                ("lib.rs", &root),
+                ("io.rs", &io),
+                ("other.rs", include_str!("fixtures/bad_r4.rs")),
+                ("r1.rs", include_str!("fixtures/bad_r1.rs")),
+                ("r3.rs", include_str!("fixtures/bad_r3.rs")),
+                ("r7.rs", include_str!("fixtures/bad_r7.rs")),
+            ],
+        )
+    })
+}
+
+/// The R1 and R11 fixtures, unguarded, under the workspace `clippy.toml`
+/// that every crate outside the hot set reads.
+fn cold_crate() -> &'static Findings {
+    static RUN: OnceLock<Findings> = OnceLock::new();
+    RUN.get_or_init(|| {
+        clippy(
+            "retired-rules-cold",
+            "clippy.toml",
+            "",
+            &[
+                ("lib.rs", "//! Not a hot crate.\n\npub mod r1;\npub mod r11;\n"),
+                ("r1.rs", include_str!("fixtures/bad_r1.rs")),
+                ("r11.rs", include_str!("fixtures/bad_r11.rs")),
+            ],
+        )
+    })
 }
 
 fn lint(path: &str, source: &str) -> Vec<Violation> {
     let meta = FileMeta::for_path(path).expect("classifiable fixture path");
-    lint_source(&meta, source, &config())
+    lint_source(&meta, source, &Config::default())
 }
 
 /// Distinct rule ids fired, in order.
@@ -28,15 +74,29 @@ fn rules_fired(path: &str, source: &str) -> Vec<&'static str> {
 
 #[test]
 fn r1_default_hasher_map_in_hot_crate() {
-    let vs = lint("crates/core/src/fixture.rs", include_str!("fixtures/bad_r1.rs"));
-    assert!(vs.iter().all(|v| v.rule == "R1"), "{vs:?}");
-    assert_eq!(vs.len(), 3, "one per HashMap mention: {vs:?}");
+    let found = hot_crate().count("clippy::disallowed_types", "r1.rs");
+    assert!(found >= 2, "the import and every use of std HashMap: {found}");
 }
 
 #[test]
 fn r1_is_silent_outside_hot_crates() {
-    let vs = lint("crates/telemetry/src/fixture.rs", include_str!("fixtures/bad_r1.rs"));
-    assert!(vs.is_empty(), "telemetry is not a hot crate: {vs:?}");
+    assert_eq!(cold_crate().count("clippy::disallowed_types", "r1.rs"), 0);
+    // Clippy reads the clippy.toml nearest each manifest and does not
+    // merge files: the hot crates carry identical copies of the tested
+    // file, and every other crate falls back to the workspace one.
+    let hot = Config::default().hot_crates;
+    let tested = repo_file("crates/core/clippy.toml");
+    for krate in &hot {
+        assert_eq!(repo_file(&format!("crates/{krate}/clippy.toml")), tested, "{krate}");
+    }
+    assert!(!repo_file("clippy.toml").contains("disallowed-types ="));
+    let crates = std::fs::read_dir(support::repo_root().join("crates")).expect("crates/ lists");
+    for dir in crates.map(|e| e.expect("dir entry").path()) {
+        let name = dir.file_name().expect("named").to_string_lossy().into_owned();
+        if !hot.contains(&name) {
+            assert!(!dir.join("clippy.toml").exists(), "{name} is not a hot crate");
+        }
+    }
 }
 
 #[test]
@@ -55,23 +115,23 @@ fn r2_is_silent_on_the_allowlist() {
 
 #[test]
 fn r3_bare_unwrap_in_library_code() {
-    assert_eq!(
-        rules_fired("crates/core/src/fixture.rs", include_str!("fixtures/bad_r3.rs")),
-        ["R3"]
-    );
+    assert_eq!(hot_crate().count("clippy::unwrap_used", "r3.rs"), 1);
 }
 
 #[test]
 fn r4_crate_root_missing_lint_attrs() {
-    let vs = lint("crates/demo/src/lib.rs", include_str!("fixtures/bad_r4.rs"));
-    assert!(vs.iter().all(|v| v.rule == "R4"), "{vs:?}");
-    assert_eq!(vs.len(), 2, "one per missing attribute: {vs:?}");
+    // The crate root declares neither attribute; the workspace lint table
+    // that every member inherits supplies both.
+    assert_eq!(hot_crate().count("unsafe_code", "lib.rs"), 1);
+    assert_eq!(hot_crate().count("missing_docs", "lib.rs"), 1);
 }
 
 #[test]
 fn r4_only_applies_to_crate_roots() {
-    let vs = lint("crates/demo/src/other.rs", include_str!("fixtures/bad_r4.rs"));
-    assert!(vs.is_empty(), "non-root modules need no crate attrs: {vs:?}");
+    // The attributes are declared once per crate, in its manifest; a
+    // submodule needs none of its own and is still covered.
+    assert_eq!(hot_crate().count("unsafe_code", "other.rs"), 1);
+    assert_eq!(hot_crate().count("missing_docs", "other.rs"), 1);
 }
 
 #[test]
@@ -90,17 +150,22 @@ fn r6_handrolled_json_outside_shared_module() {
 
 #[test]
 fn r7_stub_macros() {
-    let vs = lint("crates/common/src/fixture.rs", include_str!("fixtures/bad_r7.rs"));
-    assert!(vs.iter().all(|v| v.rule == "R7"), "{vs:?}");
-    assert_eq!(vs.len(), 3, "todo, dbg and unimplemented: {vs:?}");
+    for lint in ["clippy::todo", "clippy::dbg_macro", "clippy::unimplemented"] {
+        assert_eq!(hot_crate().count(lint, "r7.rs"), 1, "{lint}");
+    }
 }
 
 #[test]
 fn r8_unknown_crate_import() {
-    assert_eq!(
-        rules_fired("crates/core/src/fixture.rs", include_str!("fixtures/bad_r8.rs")),
-        ["R8"]
+    let found = clippy(
+        "retired-rule-r8",
+        "clippy.toml",
+        "",
+        &[("lib.rs", include_str!("fixtures/bad_r8.rs"))],
     );
+    // rustc files the missing crate under E0432 or E0433 by version.
+    let unresolved = found.count("E0432", "lib.rs") + found.count("E0433", "lib.rs");
+    assert_eq!(unresolved, 1, "unresolved import");
 }
 
 #[test]
@@ -137,7 +202,7 @@ fn r9_taints_across_files_and_crates() {
         "//! Driver.\n\n/// Reaches the clock only through another crate.\n\
          pub fn drive() -> u64 {\n    planaria_trace::clock::read_clock()\n}\n",
     );
-    let run = lint_files(&[clock, driver], &config());
+    let run = lint_files(&[clock, driver], &Config::default());
     let r9: Vec<_> = run.violations.iter().filter(|v| v.rule == "R9").collect();
     assert_eq!(r9.len(), 1, "{:?}", run.violations);
     assert_eq!(r9[0].file, "crates/core/src/driver.rs");
@@ -156,15 +221,16 @@ fn r10_map_iteration_into_ordered_sink() {
 
 #[test]
 fn r11_narrowing_cast_in_parsing_module() {
-    let vs = lint("crates/trace/src/io.rs", include_str!("fixtures/bad_r11.rs"));
-    assert!(vs.iter().all(|v| v.rule == "R11"), "{vs:?}");
-    assert_eq!(vs.len(), 1, "the widening `as u64` must not fire: {vs:?}");
+    for module in ["crates/trace/src/io.rs", "crates/serve/src/snapshot.rs"] {
+        assert!(repo_file(module).lines().any(|l| l == TRUNCATION_GUARD), "{module}");
+    }
+    let found = hot_crate().count("clippy::cast_possible_truncation", "io.rs");
+    assert_eq!(found, 1, "the widening `as u64` must not fire");
 }
 
 #[test]
 fn r11_is_silent_outside_parsing_modules() {
-    let vs = lint("crates/analysis/src/fixture.rs", include_str!("fixtures/bad_r11.rs"));
-    assert!(vs.is_empty(), "R11 only polices configured parsing paths: {vs:?}");
+    assert_eq!(cold_crate().count("clippy::cast_possible_truncation", "r11.rs"), 0);
 }
 
 #[test]
@@ -192,8 +258,8 @@ fn r12_checks_depend_on_the_crate() {
 
 #[test]
 fn clean_flow_fixture_passes_the_flow_rules_where_they_all_apply() {
-    // `crates/trace/src/io.rs` is a hot crate AND a narrow-cast path, so
-    // every flow rule is live against this fixture.
+    // `crates/trace/src/io.rs` is a hot crate, so every flow rule is live
+    // against this fixture.
     let vs = lint("crates/trace/src/io.rs", include_str!("fixtures/clean_flow.rs"));
     assert!(vs.is_empty(), "sanctioned flow forms must not fire: {vs:?}");
 }
@@ -228,13 +294,30 @@ fn tricky_strings_and_comments_never_fire() {
 
 #[test]
 fn bad_manifest_fires_r8_per_registry_dependency() {
-    let vs = lint_manifest("crates/rogue/Cargo.toml", include_str!("fixtures/bad_manifest.toml"));
-    assert!(vs.iter().all(|v| v.rule == "R8"), "{vs:?}");
-    assert_eq!(vs.len(), 3, "rayon, reqwest table, quickcheck git: {vs:?}");
+    let fixture = include_str!("fixtures/bad_manifest.toml");
+    let remote = [
+        "rayon = \"1.10\"\n",
+        "[dependencies.reqwest]\nversion = \"0.12\"\n",
+        "quickcheck = { git = \"https://example.com/quickcheck.git\" }\n",
+    ];
+    let without = |dropped: &[&str]| {
+        dropped.iter().fold(fixture.to_string(), |m, dep| {
+            assert!(m.contains(dep), "fixture declares {dep}");
+            m.replace(dep, "")
+        })
+    };
+    for (i, dep) in remote.iter().enumerate() {
+        let others: Vec<&str> = remote.iter().copied().filter(|d| d != dep).collect();
+        assert!(!lock_is_local(&format!("rogue-r8-{i}"), &without(&others)), "{dep}");
+    }
+    assert!(lock_is_local("rogue-r8-local", &without(&remote)), "the path dependency is local");
 }
 
 #[test]
 fn clean_manifest_is_silent() {
-    let vs = lint_manifest("crates/tidy/Cargo.toml", include_str!("fixtures/clean_manifest.toml"));
-    assert!(vs.is_empty(), "workspace/path deps are sanctioned: {vs:?}");
+    assert!(lock_is_local("tidy-r8", include_str!("fixtures/clean_manifest.toml")));
+    // The workspace itself: registry and git packages carry a source line.
+    let lock = repo_file("Cargo.lock");
+    let remote: Vec<&str> = lock.lines().filter(|l| l.starts_with("source = ")).collect();
+    assert!(remote.is_empty(), "Cargo.lock names remote packages: {remote:?}");
 }

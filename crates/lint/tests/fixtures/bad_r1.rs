@@ -1,4 +1,5 @@
-//! Fixture: default-hasher map in a hot-path crate (fires only R1).
+//! Fixture: default-hasher map in a hot-path crate (retired R1; the hot
+//! crates' clippy.toml now fires `clippy::disallowed_types`).
 
 use std::collections::HashMap;
 

@@ -1,5 +1,10 @@
-//! Fixture: a crate root missing both mandatory crate-level lint
-//! attributes (fires only R4, twice).
+//! Fixture: a module without `#![forbid(unsafe_code)]` or
+//! `#![warn(missing_docs)]` of its own (retired R4; the workspace lint
+//! table now fires `unsafe_code` and `missing_docs` wherever it sits).
 
-/// Documented so `missing_docs` itself would stay quiet.
-pub fn noop() {}
+/// Reads through a raw pointer.
+pub fn first_byte(xs: &[u8]) -> u8 {
+    unsafe { *xs.as_ptr() }
+}
+
+pub fn undocumented() {}

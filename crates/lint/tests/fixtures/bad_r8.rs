@@ -1,5 +1,5 @@
 //! Fixture: import of a crate that is neither a workspace member nor
-//! vendored (fires only R8 — the build environment cannot fetch it).
+//! vendored (retired R8; rustc refuses the unresolved import).
 
 use rayon::prelude::*;
 

@@ -1,6 +1,6 @@
-//! Clean-flow fixture: the sanctioned counterparts of rules R9–R12.
-//! Linted under `crates/trace/src/io.rs`, so the narrowing-cast and
-//! hot-crate checks are all live.
+//! Clean-flow fixture: the sanctioned counterparts of rules R9, R10 and
+//! R12. Linted under `crates/trace/src/io.rs`, so the hot-crate checks
+//! are live.
 
 use std::collections::BTreeMap;
 
@@ -25,11 +25,6 @@ pub fn sorted_pages(by_page: &FastHashMap<u64, u64>) -> Vec<u64> {
     let mut pages: Vec<u64> = by_page.keys().copied().collect();
     pages.sort_unstable();
     pages
-}
-
-/// Checked narrowing with a surfaced error (R11 clean).
-pub fn checked_len(count: u64) -> Result<usize, String> {
-    usize::try_from(count).map_err(|_| format!("count {count} exceeds usize"))
 }
 
 /// Bounded channel sized like the serve mailbox (R12 clean).

@@ -5,7 +5,8 @@
 use std::path::Path;
 
 use planaria_lint::report::validate_report;
-use planaria_lint::{load_baseline, run_workspace, workspace_config};
+use planaria_lint::rules::{lint_source, Config, FileMeta};
+use planaria_lint::{load_baseline, run_workspace};
 
 fn repo_root() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -39,20 +40,17 @@ fn shipped_workspace_is_lint_clean_with_an_empty_baseline() {
 fn streaming_trace_modules_lint_clean_under_the_workspace_config() {
     // The streaming engine additions (pull-based streams, the chunked
     // planaria-trace-v1 codec, and the trace_pack bin) must classify and
-    // lint like any other workspace source: R4 only fires on crate roots
-    // (none of these are), and R8 accepts their imports because every
-    // named crate is a workspace member. A misclassification would
+    // lint like any other workspace source. A misclassification would
     // silently exempt the new module from the gate, so pin it here.
-    use planaria_lint::rules::{lint_source, FileMeta};
     let root = repo_root();
-    let config = workspace_config(&root).expect("config builds");
+    let config = Config::default();
     for rel in [
         "crates/trace/src/stream.rs",
         "crates/trace/src/io.rs",
         "crates/trace/src/bin/trace_pack.rs",
     ] {
         let meta = FileMeta::for_path(rel).expect("streaming sources classify");
-        assert!(!meta.is_crate_root, "{rel} must not be treated as a crate root");
+        assert!(!meta.is_test_file, "{rel} must be linted as library code");
         let source = std::fs::read_to_string(root.join(rel)).expect("streaming source readable");
         let vs = lint_source(&meta, &source, &config);
         assert!(vs.is_empty(), "{rel} must lint clean: {vs:?}");
@@ -63,12 +61,11 @@ fn streaming_trace_modules_lint_clean_under_the_workspace_config() {
 fn serve_crate_lints_clean_under_the_workspace_config() {
     // planaria-serve multiplexes wall-clock-free device state machines;
     // it is NOT in the nondet allowlist (only the serve_load bench
-    // harness is, via crates/bench/), so R2 polices it, R4 demands the
-    // crate-root attributes on its lib.rs, and R8 vets its imports. Pin
-    // that the shipped sources classify correctly and fire nothing.
-    use planaria_lint::rules::{lint_source, FileMeta};
+    // harness is, via crates/bench/), so R2 polices it and R12 keeps its
+    // device state Send. Pin that the shipped sources classify correctly
+    // and fire nothing.
     let root = repo_root();
-    let config = workspace_config(&root).expect("config builds");
+    let config = Config::default();
     assert!(
         !config.nondet_allow.iter().any(|p| p.starts_with("crates/serve")),
         "planaria-serve must stay under the R2 wall-clock ban"
@@ -81,7 +78,7 @@ fn serve_crate_lints_clean_under_the_workspace_config() {
         "crates/serve/src/snapshot.rs",
     ] {
         let meta = FileMeta::for_path(rel).expect("serve sources classify");
-        assert_eq!(meta.is_crate_root, rel.ends_with("lib.rs"), "{rel} crate-root flag");
+        assert_eq!(meta.crate_name, "serve", "{rel} crate");
         let source = std::fs::read_to_string(root.join(rel)).expect("serve source readable");
         let vs = lint_source(&meta, &source, &config);
         assert!(vs.is_empty(), "{rel} must lint clean: {vs:?}");
@@ -94,8 +91,6 @@ fn wall_clock_in_a_serve_path_fires_r2() {
     // crate is most likely to grow — measuring a pump turn with
     // Instant::now inside the library instead of through a ShardObserver
     // — must be caught by R2 under the workspace config.
-    use planaria_lint::rules::{lint_source, FileMeta};
-    let config = workspace_config(&repo_root()).expect("config builds");
     let meta = FileMeta::for_path("crates/serve/src/service.rs").expect("classifies");
     let seeded = "//! Docs.\n\
                   /// Times one pump turn.\n\
@@ -103,21 +98,9 @@ fn wall_clock_in_a_serve_path_fires_r2() {
                   \x20   let t0 = std::time::Instant::now();\n\
                   \x20   t0.elapsed().as_nanos()\n\
                   }\n";
-    let vs = lint_source(&meta, seeded, &config);
+    let vs = lint_source(&meta, seeded, &Config::default());
     assert!(
         vs.iter().any(|v| v.rule == "R2" && v.message.contains("Instant::now")),
         "seeded wall-clock read must fire R2, got: {vs:?}"
     );
-}
-
-#[test]
-fn workspace_config_learns_member_crate_idents() {
-    let config = workspace_config(&repo_root()).expect("config builds");
-    for ident in ["planaria_common", "planaria_hash", "planaria_lint", "serde", "rand"] {
-        assert!(
-            config.crate_idents.iter().any(|c| c == ident),
-            "missing {ident} in {:?}",
-            config.crate_idents
-        );
-    }
 }

@@ -15,6 +15,10 @@
 //! the cost is restore time proportional to the elapsed session, which
 //! SERVING.md documents as the accepted v1 trade-off.
 
+// Restore parses operator-supplied JSON: every narrowing goes through
+// try_from and surfaces a typed error.
+#![deny(clippy::cast_possible_truncation)]
+
 use planaria_common::json::{Value, Writer};
 use planaria_sim::{PrefetcherKind, SystemConfig};
 use planaria_trace::apps::AppId;
@@ -71,6 +75,8 @@ fn num_field(doc: &Value, key: &str) -> Result<u64, String> {
     if v < 0.0 || v.fract() != 0.0 || v > 9_007_199_254_740_992.0 {
         return Err(format!("snapshot field {key:?} is not an exact count: {v}"));
     }
+    // Exact: `v` is a non-negative integer no larger than 2^53.
+    #[allow(clippy::cast_possible_truncation)]
     Ok(v as u64)
 }
 

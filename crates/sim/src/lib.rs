@@ -42,9 +42,6 @@
 //! assert!(result.amat_cycles > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod experiment;
 pub mod ipc;
 mod metrics;

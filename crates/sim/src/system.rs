@@ -25,7 +25,6 @@ pub const STREAM_CHUNK: usize = 8192;
 /// accurate one never trips it — which is exactly the comparison the
 /// `ablation_governor` harness runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GovernorConfig {
     /// Demand accesses per sampling interval.
     pub interval: u64,

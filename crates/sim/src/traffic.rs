@@ -74,7 +74,6 @@ const PULL_CHUNK: usize = 4096;
 
 /// Closed-loop injection parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrafficConfig {
     /// Maximum outstanding requests per device (its MSHR/queue budget).
     /// Higher values approach open-loop behaviour; `usize::MAX` reproduces
@@ -102,7 +101,6 @@ impl Default for TrafficConfig {
 
 /// What the closed loop derived for one device.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceOutcome {
     /// Device label ([`planaria_common::DeviceId::label`]).
     pub device: String,
@@ -128,7 +126,6 @@ pub struct DeviceOutcome {
 /// Per-device outcomes of one closed-loop run plus the headline fairness
 /// number.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClosedLoopReport {
     /// The window the run used.
     pub window: usize,

@@ -3,15 +3,15 @@
 //!
 //! ```text
 //! trace_pack record --app HoK --len 10000000 --out hok.ptrace
-//! trace_pack convert hok.bin hok.ptrace
+//! trace_pack convert hok.trace hok.ptrace
 //! trace_pack info hok.ptrace
 //! ```
 //!
 //! `record` renders the app's synthetic workload straight to disk through
 //! the streaming generators — memory use is independent of `--len`, so
-//! packing 100M+ access traces is routine. `convert` re-encodes a legacy
-//! `.bin`/text trace (materialized, the legacy format is not chunked) or
-//! stream-copies an existing v1 file. `info` replays a v1 file in constant
+//! packing 100M+ access traces is routine. `convert` re-encodes a text
+//! trace (materialized, the text format is not chunked) or stream-copies
+//! an existing v1 file. `info` replays a v1 file in constant
 //! memory and prints its header and per-device histogram.
 
 use std::collections::BTreeMap;
@@ -21,9 +21,9 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use planaria_trace::apps::{profile, AppId};
+use planaria_trace::io;
 use planaria_trace::io::{ChunkedTraceReader, ChunkedTraceWriter};
 use planaria_trace::stream::AccessStream;
-use planaria_trace::{io, Trace};
 
 /// Accesses moved per `next_chunk`/`write_chunk` round.
 const COPY_CHUNK: usize = 65_536;
@@ -116,17 +116,12 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("parse {input}: {e}"))?;
         pack_stream(&mut reader, out_path)?
     } else {
-        // Legacy binary/text → v1: the legacy formats are not chunked, so
-        // the input is materialized once.
+        // Text → v1: the text format is not chunked, so the input is
+        // materialized once.
         let name = in_path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace").to_string();
         let file = File::open(in_path).map_err(|e| format!("open {input}: {e}"))?;
-        let reader = BufReader::new(file);
-        let trace: Trace = if in_path.extension().is_some_and(|e| e == "bin") {
-            io::read_binary(name, reader)
-        } else {
-            io::read_text(name, reader)
-        }
-        .map_err(|e| format!("parse {input}: {e}"))?;
+        let trace =
+            io::read_text(name, BufReader::new(file)).map_err(|e| format!("parse {input}: {e}"))?;
         pack_stream(&mut trace.stream(), out_path)?
     };
     println!("converted {input} -> {output} ({total} accesses)");

@@ -1,22 +1,24 @@
 //! Text and binary trace serialisation.
 //!
-//! Three interchangeable encodings are provided:
+//! Two interchangeable encodings are provided:
 //!
 //! * **Text** — one access per line, `R|W <hex addr> <device> <cycle>`,
 //!   with `#` comment lines; convenient for inspection and diffing.
-//! * **Legacy binary** — a 13-byte header followed by fixed 18-byte
-//!   little-endian records; compact, but must be materialized whole.
-//! * **Chunked binary (`planaria-trace-v1`)** — the same 18-byte records
-//!   framed into length-prefixed chunks behind a versioned, self-naming
-//!   header, so a [`ChunkedTraceReader`] can replay arbitrarily long
+//! * **Chunked binary (`planaria-trace-v1`)** — fixed 18-byte
+//!   little-endian records framed into length-prefixed chunks behind a
+//!   versioned, self-naming header, so a [`ChunkedTraceReader`] can replay arbitrarily long
 //!   traces in constant memory. The byte layout is normatively specified
 //!   in `TRACE_FORMAT.md` at the repository root and pinned byte-for-byte
 //!   by `tests/streaming.rs`.
 //!
-//! All formats round-trip exactly (tested by unit and property tests).
+//! Both formats round-trip exactly (tested by unit and property tests).
 //! Every size and count field read from disk is bounds-checked before it
 //! is trusted: readers fail with a specific [`ParseTraceError`] variant
 //! instead of over-allocating or misparsing on corrupt input.
+
+// Every length and count field is adversarial until bounds-checked:
+// narrowing goes through try_from, never a truncating `as`.
+#![deny(clippy::cast_possible_truncation)]
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -215,8 +217,6 @@ pub fn read_text<R: Read>(name: impl Into<String>, r: R) -> Result<Trace, ParseT
     Ok(Trace::new(name, accesses))
 }
 
-const BIN_MAGIC: &[u8; 4] = b"PLNT";
-const BIN_VERSION: u8 = 1;
 const RECORD_SIZE: usize = 18;
 
 /// Upper bound on records per chunk frame in `planaria-trace-v1`
@@ -309,51 +309,6 @@ fn decode_device(b: u8) -> Option<DeviceId> {
         11 => Some(DeviceId::Dsp),
         _ => None,
     }
-}
-
-/// Writes a trace in the compact binary format.
-///
-/// # Errors
-///
-/// Returns any IO error from the writer.
-pub fn write_binary<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
-    w.write_all(BIN_MAGIC)?;
-    w.write_all(&[BIN_VERSION])?;
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
-    for a in trace.iter() {
-        w.write_all(&encode_record(a))?;
-    }
-    Ok(())
-}
-
-/// Reads a trace from the compact binary format.
-///
-/// The header's count field is *not* trusted for allocation: capacity is
-/// reserved incrementally (clamped to [`MAX_CHUNK_RECORDS`]), so a corrupt
-/// count produces a [`ParseTraceError::Truncated`] error rather than an
-/// attempt to allocate the declared size.
-///
-/// # Errors
-///
-/// Returns the specific [`ParseTraceError`] variant describing the first
-/// corruption found, or [`ParseTraceError::Io`] on IO failures.
-pub fn read_binary<R: Read>(name: impl Into<String>, mut r: R) -> Result<Trace, ParseTraceError> {
-    let mut header = [0u8; 13];
-    read_exact_or(&mut r, &mut header, "header")?;
-    if &header[..4] != BIN_MAGIC {
-        return Err(ParseTraceError::BadMagic);
-    }
-    if header[4] != BIN_VERSION {
-        return Err(ParseTraceError::UnsupportedVersion(u32::from(header[4])));
-    }
-    let count = u64::from_le_bytes(header[5..13].try_into().expect("sized slice"));
-    let mut accesses = Vec::with_capacity(clamped_capacity(count));
-    let mut rec = [0u8; RECORD_SIZE];
-    for i in 0..count {
-        read_exact_or(&mut r, &mut rec, "record")?;
-        accesses.push(decode_record(&rec, i)?);
-    }
-    Ok(Trace::new(name, accesses))
 }
 
 /// Incremental writer for the chunked `planaria-trace-v1` format.
@@ -728,15 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip() {
-        let t = sample_trace();
-        let mut buf = Vec::new();
-        write_binary(&t, &mut buf).expect("write");
-        let back = read_binary("sample", buf.as_slice()).expect("read");
-        assert_eq!(back.accesses(), t.accesses());
-    }
-
-    #[test]
     fn text_skips_comments_and_blanks() {
         let src = "# hello\n\nR 0x40 cpu0 1\n";
         let t = read_text("t", src.as_bytes()).expect("read");
@@ -750,59 +696,6 @@ mod tests {
         assert!(read_text("t", "R 0x40 speaker 1\n".as_bytes()).is_err());
         assert!(read_text("t", "R 0x40 cpu0 abc\n".as_bytes()).is_err());
         assert!(read_text("t", "R 0x40 cpu0 1 extra\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic_and_version() {
-        let mut buf = Vec::new();
-        write_binary(&sample_trace(), &mut buf).expect("write");
-        let mut bad = buf.clone();
-        bad[0] = b'X';
-        assert!(matches!(read_binary("t", bad.as_slice()), Err(ParseTraceError::BadMagic)));
-        let mut badv = buf.clone();
-        badv[4] = 99;
-        assert!(matches!(
-            read_binary("t", badv.as_slice()),
-            Err(ParseTraceError::UnsupportedVersion(99))
-        ));
-        let truncated = &buf[..buf.len() - 1];
-        assert!(matches!(
-            read_binary("t", truncated),
-            Err(ParseTraceError::Truncated { what: "record" })
-        ));
-    }
-
-    #[test]
-    fn binary_bounds_checks_untrusted_count() {
-        // A header declaring u64::MAX records must fail with a truncation
-        // error once the records run out — and must NOT try to reserve
-        // u64::MAX capacity first (this test would abort the process if it
-        // did).
-        let mut buf = Vec::new();
-        write_binary(&sample_trace(), &mut buf).expect("write");
-        buf[5..13].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            read_binary("t", buf.as_slice()),
-            Err(ParseTraceError::Truncated { what: "record" })
-        ));
-    }
-
-    #[test]
-    fn binary_rejects_bad_kind_and_device() {
-        let mut buf = Vec::new();
-        write_binary(&sample_trace(), &mut buf).expect("write");
-        let mut bad_kind = buf.clone();
-        bad_kind[13 + 16] = 7; // first record's kind byte
-        assert!(matches!(
-            read_binary("t", bad_kind.as_slice()),
-            Err(ParseTraceError::BadRecord { index: 0, what: "kind", value: 7 })
-        ));
-        let mut bad_dev = buf.clone();
-        bad_dev[13 + RECORD_SIZE + 17] = 200; // second record's device byte
-        assert!(matches!(
-            read_binary("t", bad_dev.as_slice()),
-            Err(ParseTraceError::BadRecord { index: 1, what: "device", value: 200 })
-        ));
     }
 
     #[test]
@@ -853,6 +746,50 @@ mod tests {
         let mut buf = Vec::new();
         write_chunked(&sample_trace(), &mut buf).expect("write");
         buf
+    }
+
+    #[test]
+    fn binary_round_trip() {
+        // The packed file replayed through the streaming interface a few
+        // records at a time, as the simulator consumes it.
+        let t = sample_trace();
+        let buf = packed_sample();
+        let mut reader = ChunkedTraceReader::new(buf.as_slice()).expect("header");
+        assert_eq!(reader.name(), t.name());
+        assert_eq!(reader.total_len(), Some(t.len() as u64));
+        let (mut chunk, mut back) = (Vec::new(), Vec::new());
+        while reader.next_chunk(2, &mut chunk) > 0 {
+            back.extend_from_slice(&chunk);
+        }
+        assert!(reader.error().is_none(), "{:?}", reader.error());
+        assert_eq!(back, t.accesses());
+    }
+
+    #[test]
+    fn binary_rejects_bad_magic_and_version() {
+        // A file in the retired `PLNT` layout (4-byte magic, version byte,
+        // u64 count, records) shares the first four magic bytes and must
+        // still be refused by its magic, not misread as frames.
+        let mut legacy = b"PLNT".to_vec();
+        legacy.push(1);
+        legacy.extend_from_slice(&3u64.to_le_bytes());
+        legacy.resize(legacy.len() + 3 * RECORD_SIZE, 0);
+        assert!(matches!(
+            ChunkedTraceReader::new(legacy.as_slice()),
+            Err(ParseTraceError::BadMagic)
+        ));
+        // A newer version is refused, not guessed at.
+        let mut newer = packed_sample();
+        newer[8..12].copy_from_slice(&(CHUNK_VERSION + 1).to_le_bytes());
+        assert!(matches!(
+            ChunkedTraceReader::new(newer.as_slice()),
+            Err(ParseTraceError::UnsupportedVersion(v)) if v == CHUNK_VERSION + 1
+        ));
+        // A file cut inside the magic is a truncation, not a bad magic.
+        assert!(matches!(
+            ChunkedTraceReader::new(&packed_sample()[..4]),
+            Err(ParseTraceError::Truncated { what: "header" })
+        ));
     }
 
     #[test]
@@ -935,6 +872,43 @@ mod tests {
     }
 
     #[test]
+    fn chunked_bounds_checks_untrusted_count() {
+        // A header declaring u64::MAX accesses must fail once the frames
+        // run out — and must NOT try to reserve u64::MAX capacity first
+        // (this test would abort the process if it did).
+        let mut buf = packed_sample();
+        buf[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            read_chunked(buf.as_slice()),
+            Err(ParseTraceError::CountMismatch { declared: u64::MAX, found: 3 })
+        ));
+    }
+
+    #[test]
+    fn chunked_rejects_bad_kind_and_device() {
+        let buf = packed_sample();
+        // Header is 26 + "sample".len() bytes, then one 4-byte frame count.
+        let rec0 = 26 + "sample".len() + 4;
+        let mut bad_kind = buf.clone();
+        bad_kind[rec0 + 16] = 7; // first record's kind byte
+        assert!(matches!(
+            read_chunked(bad_kind.as_slice()),
+            Err(ParseTraceError::BadRecord { index: 0, what: "kind", value: 7 })
+        ));
+        let mut bad_dev = buf.clone();
+        bad_dev[rec0 + RECORD_SIZE + 17] = 200; // second record's device byte
+        assert!(matches!(
+            read_chunked(bad_dev.as_slice()),
+            Err(ParseTraceError::BadRecord { index: 1, what: "device", value: 200 })
+        ));
+        // A record cut short is a truncation, not a decode error.
+        assert!(matches!(
+            read_chunked(&buf[..rec0 + RECORD_SIZE - 1]),
+            Err(ParseTraceError::Truncated { what: "record" })
+        ));
+    }
+
+    #[test]
     fn chunked_reader_latches_error_through_stream_interface() {
         let mut buf = packed_sample();
         let n = buf.len();
@@ -973,12 +947,28 @@ mod tests {
         }
 
         #[test]
-        fn prop_binary_round_trip(accs in proptest::collection::vec(arb_access(), 0..50)) {
+        fn prop_binary_round_trip(
+            accs in proptest::collection::vec(arb_access(), 0..50),
+            frame in 1usize..8,
+            read in 1usize..8,
+        ) {
+            // Any framing on the write side and any chunk size on the
+            // read side carry the same records.
             let t = Trace::new("p", accs);
-            let mut buf = Vec::new();
-            write_binary(&t, &mut buf).expect("write");
-            let back = read_binary("p", buf.as_slice()).expect("read");
-            prop_assert_eq!(back.accesses(), t.accesses());
+            let mut w =
+                ChunkedTraceWriter::new(Vec::new(), t.name(), t.len() as u64).expect("header");
+            for part in t.accesses().chunks(frame) {
+                w.write_chunk(part).expect("frame");
+            }
+            let buf = w.finish().expect("finish");
+            let mut reader = ChunkedTraceReader::new(buf.as_slice()).expect("header");
+            let (mut chunk, mut back) = (Vec::new(), Vec::new());
+            while reader.next_chunk(read, &mut chunk) > 0 {
+                prop_assert!(chunk.len() <= read);
+                back.extend_from_slice(&chunk);
+            }
+            prop_assert!(reader.error().is_none());
+            prop_assert_eq!(back.as_slice(), t.accesses());
         }
 
         #[test]

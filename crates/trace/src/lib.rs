@@ -26,8 +26,8 @@
 //! * [`stream`] — pull-based [`stream::AccessStream`] chunked rendering
 //!   and replay, for runs too large to materialize
 //!   ([`WorkloadSpec::stream`], [`Trace::stream`]).
-//! * [`io`] — text and binary serialisation of traces, including the
-//!   chunked on-disk `planaria-trace-v1` format (see `TRACE_FORMAT.md`).
+//! * [`io`] — serialisation of traces: a text format and the chunked
+//!   on-disk `planaria-trace-v1` format (see `TRACE_FORMAT.md`).
 //! * [`filter`] — per-device private-cache filtering for users bringing
 //!   raw core-side traces (the SC only sees what the upper levels miss).
 //!
@@ -41,9 +41,6 @@
 //! assert_eq!(trace.len(), trace.accesses().len());
 //! assert!(trace.unique_pages() > 10);
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod apps;
 pub mod filter;

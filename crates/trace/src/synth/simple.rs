@@ -18,7 +18,6 @@ use super::{emit_one, rng_for, sample_gap, Envelope};
 /// Emits runs of consecutive blocks, then jumps to a fresh area. BOP learns
 /// offset +1 and next-line prefetchers shine here.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StreamSpec {
     /// Blocks per sequential run.
     pub run_blocks: usize,
@@ -104,7 +103,6 @@ impl StreamGen {
 /// BOP's offset learning locks onto `stride_blocks`; next-line prefetchers
 /// mostly miss when the stride exceeds one block.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StrideSpec {
     /// Stride between accesses, in 64 B blocks.
     pub stride_blocks: usize,
@@ -194,7 +192,6 @@ impl StrideGen {
 /// No memory-side prefetcher can predict it; aggressive prefetchers that
 /// fire anyway pay for it in traffic and pollution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RandomSpec {
     /// Pool size in pages.
     pub pages: usize,
@@ -279,7 +276,7 @@ mod tests {
         let spec = StreamSpec { run_blocks: 10, ..StreamSpec::default() };
         let mut out = Vec::new();
         spec.generate(1, 50, PageNum::new(1 << 24), &mut out);
-        let unique: std::collections::HashSet<u64> = out.iter().map(|a| a.addr.as_u64()).collect();
+        let unique: planaria_hash::FastHashSet<u64> = out.iter().map(|a| a.addr.as_u64()).collect();
         assert_eq!(unique.len(), 50, "runs reused addresses");
     }
 
