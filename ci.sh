@@ -39,6 +39,14 @@ cargo test -q -p planaria-sim --test determinism
 step "cargo bench --no-run (benches must compile)"
 cargo bench --no-run --workspace
 
+step "perfbench compiles against the workspace crates"
+# perfbench is a workspace of its own, so the steps above never compile
+# it: a change to a public API it calls would first fail in a benchmark
+# run. The separate target dir leaves perfbench/ untouched and --locked
+# keeps perfbench/Cargo.lock as it is.
+CARGO_TARGET_DIR=target/perfbench cargo check --offline --locked --all-targets \
+    --manifest-path perfbench/Cargo.toml
+
 if [[ "${1:-}" != "fast" ]]; then
     step "perf baseline (single-thread throughput -> BENCH_perf.json)"
     cargo run --release -q -p planaria-bench --bin perf_baseline
@@ -59,11 +67,14 @@ if [[ "${1:-}" != "fast" ]]; then
         --devices 100000 --len 40 --out target/serve_load_ci.json
     cargo run --release -q -p planaria-bench --bin serve_load -- --check target/serve_load_ci.json
 
-    step "streamed replay (pack 10M accesses, replay from disk, check fingerprints)"
+    step "streamed replay (pack 10M accesses, replay from disk)"
     # Exercises the full on-disk path at a size where materializing would
     # cost ~180 MB but the streamed replay stays flat: record a packed
-    # planaria-trace-v1 file with trace_pack, replay it through the
-    # streamed engine, and gate on the emitted fingerprint document.
+    # planaria-trace-v1 file with trace_pack and replay it through the
+    # streamed engine. The gate is that the 10M-access replay finishes
+    # without a latched stream error (the engine panics on one) and emits
+    # a well-formed document. Fingerprints are not compared here: that
+    # needs --verify, and --check only validates their format.
     cargo run --release -q -p planaria-trace --bin trace_pack -- \
         record --app HoK --len 10000000 --out target/ci_hok10m.ptrace
     cargo run --release -q -p planaria-bench --bin perf_baseline -- \

@@ -107,7 +107,7 @@ fn main() {
         ..SystemConfig::default()
     };
     let sys = MemorySystem::new(cfg, args.kind.build());
-    let (result, report) = sys.run_telemetry(&trace, args.warmup);
+    let (result, report) = sys.run_stream_telemetry(&mut trace.stream(), args.warmup);
 
     let label = format!("{}/{}", args.app.abbr(), args.kind.label());
     if args.csv {

@@ -141,21 +141,15 @@ impl HarnessArgs {
     /// printing the batch summary on stderr. Rows are per app in `kinds`
     /// order.
     pub fn run_grid(&self, kinds: &[PrefetcherKind]) -> Vec<Vec<SimResult>> {
-        let report = self.run_grid_report(kinds);
-        eprintln!("  {}", report.summary());
-        self.maybe_print_telemetry(&report);
-        report.into_rows(kinds.len())
-    }
-
-    /// Like [`HarnessArgs::run_grid`], returning the full [`RunReport`]
-    /// (per-cell timings) instead of bare rows.
-    pub fn run_grid_report(&self, kinds: &[PrefetcherKind]) -> RunReport {
         let jobs: Vec<Job> = self
             .apps
             .iter()
             .flat_map(|&app| kinds.iter().map(move |&k| Job::grid_cell(app, k, self.len_for(app))))
             .collect();
-        self.runner().run(jobs)
+        let report = self.runner().run(jobs);
+        eprintln!("  {}", report.summary());
+        self.maybe_print_telemetry(&report);
+        report.into_rows(kinds.len())
     }
 
     /// Runs a caller-assembled job batch on this harness's runner and

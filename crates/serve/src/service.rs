@@ -216,7 +216,9 @@ fn run_shard(
 ) -> (ShardSummary, Vec<DeviceReport>) {
     let total = devices.len() as u64;
     let mut rounds = 0u64;
-    let mut live = devices.len();
+    // Devices handed over already finished are never pumped, so they
+    // must not count as live.
+    let mut live = devices.iter().filter(|d| !d.is_done()).count();
     while live > 0 {
         rounds += 1;
         for dev in &mut devices {
@@ -267,4 +269,31 @@ fn run_shard(
         }
     }
     (ShardSummary { shard, devices: total, accesses, rounds, max_slowdown, telemetry }, reports)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::DeviceSpec;
+    use planaria_trace::apps::AppId;
+
+    #[test]
+    fn finished_devices_are_served_unchanged() {
+        let spec = |id| DeviceSpec::new(id, AppId::HoK).scaled(300);
+        let mut finished = ServedDevice::from_spec(spec(1));
+        loop {
+            finished.ingest(64);
+            if finished.pump(64) == DevicePump::Done {
+                break;
+            }
+        }
+        let before = finished.report().expect("pumped to completion").clone();
+
+        let cfg = ServeConfig { shards: 1, keep_device_reports: true, ..ServeConfig::default() };
+        let report = Service::new(cfg).run(vec![finished, ServedDevice::from_spec(spec(2))]);
+        assert_eq!(report.devices(), 2);
+        assert_eq!(report.device_reports.len(), 2);
+        assert_eq!(report.device_reports[0], before, "a finished device is not re-run");
+        assert_eq!(report.device_reports[1].result.accesses, 300);
+    }
 }

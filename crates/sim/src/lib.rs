@@ -26,7 +26,7 @@
 //!
 //! Observability: set [`SystemConfig::telemetry`] (or pass `--telemetry`
 //! to a figure harness) to capture decision traces and per-prefetch
-//! lifecycle events; [`MemorySystem::run_telemetry`] and
+//! lifecycle events; [`MemorySystem::run_stream_telemetry`] and
 //! [`Cell::telemetry`] surface the merged [`TelemetryReport`]. See the
 //! `planaria_telemetry` crate docs for the event taxonomy.
 //!

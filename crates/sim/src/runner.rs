@@ -56,8 +56,8 @@ pub enum TraceSource {
     },
     /// A caller-prepared trace, shared by reference.
     Shared(Arc<Trace>),
-    /// A factory of access streams; the cell runs through the streamed
-    /// engine path in flat memory (implies [`Job::streamed`]).
+    /// A factory of access streams; the cell runs in flat memory, one
+    /// fresh stream per cell.
     Stream(StreamFactory),
 }
 
@@ -72,12 +72,12 @@ pub struct Job {
     pub source: TraceSource,
     /// Full-system configuration.
     pub config: SystemConfig,
-    /// Warmup fraction forwarded to [`MemorySystem::run_with_warmup`].
+    /// Warmup fraction forwarded to [`MemorySystem::run_stream_telemetry`].
     pub warmup: f64,
     /// `Some` switches the cell to closed-loop injection via
     /// [`TrafficModel`]; `None` (the default) replays open-loop.
     pub traffic: Option<TrafficConfig>,
-    /// Run through the streamed engine path ([`Job::streamed`]).
+    /// Render an app source without materializing it ([`Job::streamed`]).
     pub stream: bool,
     factory: PrefetcherFactory,
 }
@@ -115,12 +115,10 @@ impl Job {
         }
     }
 
-    /// Switches the cell to the streamed engine path: an
-    /// [`TraceSource::App`] source renders its workload chunk-at-a-time
-    /// instead of materializing a trace, a [`TraceSource::Shared`] trace
-    /// replays through its stream adapter. Results are bit-identical to
-    /// the materialized path (`tests/streaming.rs` pins this); only the
-    /// memory profile changes.
+    /// Renders a [`TraceSource::App`] source chunk-at-a-time instead of
+    /// materializing its trace (other sources run the same either way).
+    /// Results are bit-identical to the materialized path
+    /// (`tests/streaming.rs` pins this); only the memory profile changes.
     pub fn streamed(mut self) -> Self {
         self.stream = true;
         self
@@ -410,7 +408,7 @@ impl Runner {
 
     /// Runs the full evaluation grid (every Table 2 app × `kinds`), cells
     /// in app-major order; [`RunReport::into_rows`]`(kinds.len())` yields
-    /// the per-app grouping of [`crate::experiment::run_grid`].
+    /// the per-app grouping every figure harness consumes.
     pub fn run_grid(&self, kinds: &[PrefetcherKind], length: usize) -> RunReport {
         let jobs: Vec<Job> = AppId::ALL
             .iter()
@@ -436,82 +434,42 @@ impl Runner {
             }
             let job = &jobs[i];
             let t0 = Instant::now();
-            // Resolve the input: a shared materialized trace, or an owned
-            // single-use stream for streamed cells. Either way the engine
-            // runs the same streamed core, so the split only affects the
-            // memory profile.
-            enum Input<'s> {
-                Trace(Arc<Trace>),
-                Stream(Box<dyn AccessStream + 's>),
-            }
-            let input = match &job.source {
+            // Resolve the input to one stream. A materialized trace is
+            // built once per batch and shared; the cell's stream borrows it.
+            let materialized;
+            let mut stream: Box<dyn AccessStream + '_> = match &job.source {
                 TraceSource::App { app, length } if job.stream => {
-                    Input::Stream(Box::new(cache.stream(*app, *length)))
+                    Box::new(cache.stream(*app, *length))
                 }
-                TraceSource::App { app, length } => Input::Trace(cache.get(*app, *length)),
-                TraceSource::Shared(t) if job.stream => Input::Stream(Box::new(t.stream())),
-                TraceSource::Shared(t) => Input::Trace(Arc::clone(t)),
-                TraceSource::Stream(f) => Input::Stream(f()),
+                TraceSource::App { app, length } => {
+                    materialized = cache.get(*app, *length);
+                    Box::new(materialized.stream())
+                }
+                TraceSource::Shared(t) => Box::new(t.stream()),
+                TraceSource::Stream(f) => f(),
             };
             let sys = MemorySystem::new(job.config, (job.factory)());
-            let (result, telemetry, closed_loop) = match (job.traffic, input) {
+            let (result, telemetry, closed_loop) = match job.traffic {
                 // Closed-loop cells derive their own injection schedule;
                 // warmup is rejected at Job construction and progress
                 // sampling does not apply.
-                (Some(traffic), Input::Trace(trace)) => {
-                    let (result, closed, telemetry) =
-                        TrafficModel::new(traffic).run_telemetry(sys, &trace);
-                    (result, telemetry, Some(closed))
-                }
-                (Some(traffic), Input::Stream(mut stream)) => {
+                Some(traffic) => {
                     let (result, closed, telemetry) =
                         TrafficModel::new(traffic).run_stream_telemetry(sys, stream.as_mut());
                     (result, telemetry, Some(closed))
                 }
-                (None, Input::Trace(trace)) => {
-                    let (result, _, telemetry) = match &self.progress {
-                        Some(cb) => sys.run_core(
-                            &trace,
-                            job.warmup,
-                            self.progress_every,
-                            Some(&mut |done, hit_rate| {
-                                cb(ProgressEvent {
-                                    job: i,
-                                    total,
-                                    label: &job.label,
-                                    done,
-                                    trace_len: trace.len(),
-                                    hit_rate,
-                                })
-                            }),
-                        ),
-                        None => sys.run_core(&trace, job.warmup, usize::MAX, None),
-                    };
-                    (result, telemetry, None)
-                }
-                (None, Input::Stream(mut stream)) => {
-                    let (result, _, telemetry) = match &self.progress {
-                        Some(cb) => {
-                            let trace_len =
-                                stream.total_len().map(|l| l as usize).unwrap_or(usize::MAX);
-                            sys.run_stream_core(
-                                stream.as_mut(),
-                                job.warmup,
-                                self.progress_every,
-                                Some(&mut |done, hit_rate| {
-                                    cb(ProgressEvent {
-                                        job: i,
-                                        total,
-                                        label: &job.label,
-                                        done,
-                                        trace_len,
-                                        hit_rate,
-                                    })
-                                }),
-                            )
+                None => {
+                    let trace_len = stream.total_len().map_or(usize::MAX, |l| l as usize);
+                    let mut observe = self.progress.as_ref().map(|cb| {
+                        move |done, hit_rate| {
+                            let label = &job.label;
+                            cb(ProgressEvent { job: i, total, label, done, trace_len, hit_rate })
                         }
-                        None => sys.run_stream_core(stream.as_mut(), job.warmup, usize::MAX, None),
-                    };
+                    });
+                    let every = if observe.is_some() { self.progress_every } else { usize::MAX };
+                    let observe = observe.as_mut().map(|f| f as &mut dyn FnMut(usize, f64));
+                    let (result, _, telemetry) =
+                        sys.run_stream_core(stream.as_mut(), job.warmup, every, observe);
                     (result, telemetry, None)
                 }
             };

@@ -577,102 +577,9 @@ impl MemorySystem {
         }
     }
 
-    /// Runs a whole trace and finalises the result.
-    pub fn run(self, trace: &planaria_trace::Trace) -> SimResult {
-        self.run_with_warmup(trace, 0.0)
-    }
-
-    /// Runs a trace, discarding metrics accumulated during the leading
-    /// `warmup` fraction (`0.0..1.0`) of accesses. Cache contents,
-    /// prefetcher state and DRAM protocol state carry over — only the
-    /// counters reset — so steady-state behaviour is measured.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `warmup` is not within `0.0..1.0`.
-    pub fn run_with_warmup(self, trace: &planaria_trace::Trace, warmup: f64) -> SimResult {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
-        self.run_with_warmup_parts(trace, warmup).0
-    }
-
-    /// Like [`MemorySystem::run_with_warmup`], but invokes `observe` with
-    /// `(accesses_processed, interim_hit_rate)` every `every` accesses —
-    /// the hook the parallel [`crate::runner::Runner`] uses for live
-    /// progress reporting. Observation never perturbs the simulation, so
-    /// observed and unobserved runs produce identical results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `warmup` is not within `0.0..1.0` or `every` is zero.
-    pub fn run_observed(
-        self,
-        trace: &planaria_trace::Trace,
-        warmup: f64,
-        every: usize,
-        observe: &mut dyn FnMut(usize, f64),
-    ) -> SimResult {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
-        assert!(every > 0, "observation interval must be positive");
-        self.run_core(trace, warmup, every, Some(observe)).0
-    }
-
-    /// Like [`MemorySystem::run_with_warmup`], but also returns the merged
-    /// [`TelemetryReport`] — prefetcher decision events plus system-side
-    /// prefetch-lifecycle events, stable-sorted by cycle.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use planaria_sim::experiment::PrefetcherKind;
-    /// use planaria_sim::{EventKind, MemorySystem, SystemConfig, TelemetryConfig};
-    /// use planaria_trace::apps::{profile, AppId};
-    ///
-    /// let trace = profile(AppId::HoK).scaled(5_000).build();
-    /// let cfg = SystemConfig { telemetry: TelemetryConfig::events(), ..Default::default() };
-    /// let sys = MemorySystem::new(cfg, PrefetcherKind::Planaria.build());
-    /// let (result, report) = sys.run_telemetry(&trace, 0.0);
-    ///
-    /// // Lifecycle counters reconcile with the headline metrics.
-    /// assert_eq!(report.count(EventKind::PrefetchIssued), result.traffic.prefetch_reads);
-    /// // Full event capture was on, so the decision trace is populated.
-    /// assert!(!report.events.is_empty());
-    /// ```
-    pub fn run_telemetry(
-        self,
-        trace: &planaria_trace::Trace,
-        warmup: f64,
-    ) -> (SimResult, TelemetryReport) {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
-        let (result, _, telemetry) = self.run_core(trace, warmup, usize::MAX, None);
-        (result, telemetry)
-    }
-
-    /// [`MemorySystem::run_with_warmup`] plus the final DRAM command
-    /// counters (tests assert the read stream partitions exactly).
-    fn run_with_warmup_parts(
-        self,
-        trace: &planaria_trace::Trace,
-        warmup: f64,
-    ) -> (SimResult, planaria_dram::DramStats) {
-        let (result, dram, _) = self.run_core(trace, warmup, usize::MAX, None);
-        (result, dram)
-    }
-
-    pub(crate) fn run_core(
-        self,
-        trace: &planaria_trace::Trace,
-        warmup: f64,
-        every: usize,
-        observe: Option<&mut dyn FnMut(usize, f64)>,
-    ) -> (SimResult, planaria_dram::DramStats, TelemetryReport) {
-        // Materialized runs are the streamed loop over a borrowing adapter
-        // — one code path, so streamed and materialized runs are identical
-        // by construction (and `tests/streaming.rs` pins it).
-        self.run_stream_core(&mut trace.stream(), warmup, every, observe)
-    }
-
-    /// Runs a stream to exhaustion and finalises the result; the streamed
-    /// sibling of [`MemorySystem::run`].
+    /// Runs a stream to exhaustion and finalises the result. A
+    /// materialized trace runs through its borrowing adapter,
+    /// `run_stream(&mut trace.stream())`.
     ///
     /// Memory use is flat in the stream length: the engine holds one
     /// [`STREAM_CHUNK`]-bounded working buffer, never the whole trace.
@@ -693,17 +600,23 @@ impl MemorySystem {
     /// let spec = profile(AppId::HoK).scaled(5_000);
     /// let sys = |k: PrefetcherKind| MemorySystem::new(SystemConfig::default(), k.build());
     ///
-    /// let materialized = sys(PrefetcherKind::Planaria).run(&spec.build());
+    /// let materialized = sys(PrefetcherKind::Planaria).run_stream(&mut spec.build().stream());
     /// let streamed = sys(PrefetcherKind::Planaria).run_stream(&mut spec.stream());
     /// assert_eq!(streamed, materialized);
     /// ```
     pub fn run_stream(self, stream: &mut dyn AccessStream) -> SimResult {
-        self.run_stream_with_warmup(stream, 0.0)
+        self.run_stream_core(stream, 0.0, usize::MAX, None).0
     }
 
-    /// [`MemorySystem::run_stream`] with a leading `warmup` fraction of
-    /// accesses excluded from the metrics, like
-    /// [`MemorySystem::run_with_warmup`].
+    /// [`MemorySystem::run_stream`] with the leading `warmup` fraction
+    /// (`0.0..1.0`) of accesses excluded from the metrics, also returning
+    /// the merged [`TelemetryReport`] — prefetcher decision events plus
+    /// system-side prefetch-lifecycle events, stable-sorted by cycle.
+    ///
+    /// Warmup keeps cache contents, prefetcher state and DRAM protocol
+    /// state — only the counters reset — so steady-state behaviour is
+    /// measured. Telemetry counters are always populated; events only
+    /// when [`SystemConfig::telemetry`] enables capture.
     ///
     /// # Panics
     ///
@@ -711,45 +624,37 @@ impl MemorySystem {
     /// positive and the stream does not know its
     /// [`AccessStream::total_len`] (the boundary would be a guess), or if
     /// the stream ends with a latched error.
-    pub fn run_stream_with_warmup(self, stream: &mut dyn AccessStream, warmup: f64) -> SimResult {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
-        self.run_stream_core(stream, warmup, usize::MAX, None).0
-    }
-
-    /// [`MemorySystem::run_observed`] over a stream (the runner's live
-    /// progress hook for streamed jobs).
     ///
-    /// # Panics
+    /// # Examples
     ///
-    /// As [`MemorySystem::run_stream_with_warmup`], plus if `every` is
-    /// zero.
-    pub fn run_stream_observed(
-        self,
-        stream: &mut dyn AccessStream,
-        warmup: f64,
-        every: usize,
-        observe: &mut dyn FnMut(usize, f64),
-    ) -> SimResult {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
-        assert!(every > 0, "observation interval must be positive");
-        self.run_stream_core(stream, warmup, every, Some(observe)).0
-    }
-
-    /// [`MemorySystem::run_telemetry`] over a stream.
+    /// ```
+    /// use planaria_sim::experiment::PrefetcherKind;
+    /// use planaria_sim::{EventKind, MemorySystem, SystemConfig, TelemetryConfig};
+    /// use planaria_trace::apps::{profile, AppId};
     ///
-    /// # Panics
+    /// let trace = profile(AppId::HoK).scaled(5_000).build();
+    /// let cfg = SystemConfig { telemetry: TelemetryConfig::events(), ..Default::default() };
+    /// let sys = MemorySystem::new(cfg, PrefetcherKind::Planaria.build());
+    /// let (result, report) = sys.run_stream_telemetry(&mut trace.stream(), 0.0);
     ///
-    /// As [`MemorySystem::run_stream_with_warmup`].
+    /// // Lifecycle counters reconcile with the headline metrics.
+    /// assert_eq!(report.count(EventKind::PrefetchIssued), result.traffic.prefetch_reads);
+    /// // Full event capture was on, so the decision trace is populated.
+    /// assert!(!report.events.is_empty());
+    /// ```
     pub fn run_stream_telemetry(
         self,
         stream: &mut dyn AccessStream,
         warmup: f64,
     ) -> (SimResult, TelemetryReport) {
-        assert!((0.0..1.0).contains(&warmup), "warmup fraction must be in [0, 1)");
         let (result, _, telemetry) = self.run_stream_core(stream, warmup, usize::MAX, None);
         (result, telemetry)
     }
 
+    /// The run loop behind both entry points. `observe` is called with
+    /// `(accesses_processed, interim_hit_rate)` every `every` accesses —
+    /// the runner's live-progress hook; observation never perturbs the
+    /// simulation. Also returns the final DRAM command counters.
     pub(crate) fn run_stream_core(
         mut self,
         stream: &mut dyn AccessStream,
@@ -796,7 +701,8 @@ impl MemorySystem {
         if let Some(e) = stream.error() {
             panic!("trace stream {name:?} failed after {done} accesses: {e}");
         }
-        self.finish_parts(&name)
+        let (result, dram, telemetry, _) = self.finish_parts_logged(&name);
+        (result, dram, telemetry)
     }
 
     /// Zeroes every accumulated metric while keeping microarchitectural
@@ -830,21 +736,14 @@ impl MemorySystem {
 
     /// Drains all outstanding work and produces the result record.
     pub fn finish(self, workload: &str) -> SimResult {
-        self.finish_parts(workload).0
+        self.finish_parts_logged(workload).0
     }
 
-    pub(crate) fn finish_parts(
-        self,
-        workload: &str,
-    ) -> (SimResult, planaria_dram::DramStats, TelemetryReport) {
-        let (result, dram, telemetry, _) = self.finish_parts_logged(workload);
-        (result, dram, telemetry)
-    }
-
-    /// [`MemorySystem::finish_parts`] plus the completions logged since the
-    /// last [`MemorySystem::drain_completion_log`] — including those
-    /// retired by the final drain, which the closed-loop traffic model
-    /// needs to settle its remaining outstanding requests.
+    /// [`MemorySystem::finish`] plus the final DRAM counters, the merged
+    /// telemetry, and the completions logged since the last
+    /// [`MemorySystem::drain_completion_log`] — including those retired by
+    /// the final drain, which the closed-loop traffic model needs to
+    /// settle its remaining outstanding requests.
     pub(crate) fn finish_parts_logged(
         mut self,
         workload: &str,
@@ -977,7 +876,7 @@ mod tests {
     fn cold_misses_have_memory_latency() {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
         let trace = Trace::new("t", vec![read(0x0000, 0), read(0x4000, 1000)]);
-        let r = sys.run(&trace);
+        let r = sys.run_stream(&mut trace.stream());
         assert_eq!(r.accesses, 2);
         assert_eq!(r.hit_rate, 0.0);
         // Both misses: AMAT far above the hit latency.
@@ -991,7 +890,7 @@ mod tests {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
         // Revisit the same block after the fill completed.
         let trace = Trace::new("t", vec![read(0x0000, 0), read(0x0000, 10_000)]);
-        let r = sys.run(&trace);
+        let r = sys.run_stream(&mut trace.stream());
         assert!((r.hit_rate - 0.5).abs() < 1e-12);
     }
 
@@ -1000,7 +899,7 @@ mod tests {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
         // Second access arrives 1 cycle later: fill not complete -> merge.
         let trace = Trace::new("t", vec![read(0x0000, 0), read(0x0000, 1)]);
-        let r = sys.run(&trace);
+        let r = sys.run_stream(&mut trace.stream());
         assert_eq!(r.traffic.demand_reads, 1, "one DRAM read, two waiters");
         assert_eq!(r.accesses, 2);
     }
@@ -1011,7 +910,7 @@ mod tests {
         // rest spill — all four must still be charged residual latency.
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
         let trace = Trace::new("t", vec![read(0, 0), read(0, 1), read(0, 2), read(0, 3)]);
-        let r = sys.run(&trace);
+        let r = sys.run_stream(&mut trace.stream());
         assert_eq!(r.traffic.demand_reads, 1, "one DRAM read, four waiters");
         assert_eq!(r.accesses, 4);
         assert!(r.amat_cycles > 40.0, "all waiters paid memory latency: {}", r.amat_cycles);
@@ -1035,7 +934,7 @@ mod tests {
                 read(12 * 64, 15_000),
             ],
         );
-        let r = sys.run(&trace);
+        let r = sys.run_stream(&mut trace.stream());
         assert_eq!(r.traffic.writebacks, 1, "exactly the dirty line writes back");
     }
 
@@ -1043,7 +942,7 @@ mod tests {
     fn null_prefetcher_issues_nothing() {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
         let accesses: Vec<MemAccess> = (0..100).map(|i| read(i * 64, i * 200)).collect();
-        let r = sys.run(&Trace::new("t", accesses));
+        let r = sys.run_stream(&mut Trace::new("t", accesses).stream());
         assert_eq!(r.traffic.prefetch_reads, 0);
         assert_eq!(r.useful_prefetches, 0);
         assert!(r.power_mw > 0.0);
@@ -1055,7 +954,7 @@ mod tests {
         let mk = |pf: Box<dyn Prefetcher>| {
             let sys = MemorySystem::new(SystemConfig::default(), pf);
             let accesses: Vec<MemAccess> = (0..2000u64).map(|i| read(i * 64, i * 300)).collect();
-            sys.run(&Trace::new("stream", accesses))
+            sys.run_stream(&mut Trace::new("stream", accesses).stream())
         };
         let none = mk(Box::new(NullPrefetcher::new()));
         let nl = mk(Box::new(planaria_baselines::NextLine::new()));
@@ -1080,13 +979,13 @@ mod tests {
             SystemConfig::default(),
             Box::new(planaria_baselines::NextLine::new()),
         )
-        .run(&trace);
+        .run_stream(&mut trace.stream());
         let cfg = SystemConfig {
             governor: Some(GovernorConfig { interval: 2_000, ..GovernorConfig::default() }),
             ..SystemConfig::default()
         };
-        let governed =
-            MemorySystem::new(cfg, Box::new(planaria_baselines::NextLine::new())).run(&trace);
+        let governed = MemorySystem::new(cfg, Box::new(planaria_baselines::NextLine::new()))
+            .run_stream(&mut trace.stream());
         assert!(
             governed.traffic.prefetch_reads * 3 < free.traffic.prefetch_reads,
             "governor barely helped: {} vs {}",
@@ -1110,9 +1009,9 @@ mod tests {
             SystemConfig::default(),
             Box::new(planaria_baselines::NextLine::new()),
         )
-        .run(&trace);
-        let governed =
-            MemorySystem::new(cfg, Box::new(planaria_baselines::NextLine::new())).run(&trace);
+        .run_stream(&mut trace.stream());
+        let governed = MemorySystem::new(cfg, Box::new(planaria_baselines::NextLine::new()))
+            .run_stream(&mut trace.stream());
         assert!((governed.hit_rate - free.hit_rate).abs() < 0.01);
         assert_eq!(governed.traffic.prefetch_reads, free.traffic.prefetch_reads);
     }
@@ -1122,10 +1021,11 @@ mod tests {
         let accesses: Vec<MemAccess> =
             (0..200u64).map(|i| read((i % 100) * 64, i * 5_000)).collect();
         let trace = Trace::new("w", accesses);
-        let cold =
-            MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new())).run(&trace);
+        let cold = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()))
+            .run_stream(&mut trace.stream());
         let warm = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()))
-            .run_with_warmup(&trace, 0.5);
+            .run_stream_telemetry(&mut trace.stream(), 0.5)
+            .0;
         // First half is all cold misses; the measured half is all hits.
         assert!((cold.hit_rate - 0.5).abs() < 1e-9, "cold {}", cold.hit_rate);
         assert!((warm.hit_rate - 1.0).abs() < 1e-9, "warm {}", warm.hit_rate);
@@ -1141,10 +1041,11 @@ mod tests {
         // landed in `latency_sum` while `demand_count` had been reset,
         // roughly doubling the measured AMAT.
         let trace = Trace::new("t", vec![read(0x0000, 0), read(0x0000, 1)]);
-        let cold =
-            MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new())).run(&trace);
+        let cold = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()))
+            .run_stream(&mut trace.stream());
         let warm = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()))
-            .run_with_warmup(&trace, 0.5);
+            .run_stream_telemetry(&mut trace.stream(), 0.5)
+            .0;
         assert_eq!(warm.accesses, 1);
         assert!(
             warm.amat_cycles < 1.5 * cold.amat_cycles,
@@ -1167,7 +1068,7 @@ mod tests {
                 SystemConfig::default(),
                 Box::new(planaria_baselines::NextLine::new()),
             );
-            let (r, dram) = sys.run_with_warmup_parts(&trace, warmup);
+            let (r, dram, _) = sys.run_stream_core(&mut trace.stream(), warmup, usize::MAX, None);
             assert_eq!(
                 r.traffic.demand_reads + r.traffic.prefetch_reads,
                 dram.n_rd,
@@ -1182,13 +1083,13 @@ mod tests {
     #[should_panic(expected = "warmup fraction")]
     fn warmup_rejects_out_of_range() {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
-        let _ = sys.run_with_warmup(&Trace::empty("e"), 1.5);
+        let _ = sys.run_stream_telemetry(&mut Trace::empty("e").stream(), 1.5);
     }
 
     #[test]
     fn empty_trace_is_safe() {
         let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
-        let r = sys.run(&Trace::empty("empty"));
+        let r = sys.run_stream(&mut Trace::empty("empty").stream());
         assert_eq!(r.accesses, 0);
         assert_eq!(r.amat_cycles, 0.0);
     }

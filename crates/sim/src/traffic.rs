@@ -11,10 +11,10 @@
 //! *derived from* memory-system behaviour instead of replayed verbatim.
 //! The original inter-access gaps within each stream are kept as think
 //! time, so an uncontended device reproduces its recorded schedule
-//! exactly. Materialized traces run through the same demux via
-//! [`planaria_trace::TraceStream`]; [`TrafficModel::run_stream`] accepts
-//! any stream (synthetic renderers, packed-file replay) without holding
-//! the trace in memory.
+//! exactly. [`TrafficModel::run_stream`] accepts any stream (synthetic
+//! renderers, packed-file replay, a materialized trace through
+//! [`planaria_trace::TraceStream`]) without holding more than the accesses
+//! near the injection horizon.
 //!
 //! With an effectively infinite window no device ever stalls, every access
 //! is injected at its original cycle in the original order, and the run is
@@ -46,7 +46,8 @@
 //!
 //! let trace = profile(AppId::HoK).scaled(3_000).build();
 //! let sys = MemorySystem::new(SystemConfig::default(), PrefetcherKind::Planaria.build());
-//! let (result, report) = TrafficModel::new(TrafficConfig::new(4)).run(sys, &trace);
+//! let (result, report) =
+//!     TrafficModel::new(TrafficConfig::new(4)).run_stream(sys, &mut trace.stream());
 //!
 //! assert_eq!(result.accesses, trace.len() as u64);
 //! assert!(!report.devices.is_empty());
@@ -60,7 +61,6 @@ use planaria_common::{Cycle, DeviceId, MemAccess};
 use planaria_hash::{map_with_capacity, FastHashMap};
 use planaria_telemetry::TelemetryReport;
 use planaria_trace::stream::AccessStream;
-use planaria_trace::Trace;
 
 use crate::metrics::SimResult;
 use crate::system::MemorySystem;
@@ -584,30 +584,11 @@ impl TrafficModel {
         Self { cfg }
     }
 
-    /// Runs the whole trace closed-loop and finalises the result.
-    pub fn run(self, sys: MemorySystem, trace: &Trace) -> (SimResult, ClosedLoopReport) {
-        let (result, report, _) = self.run_telemetry(sys, trace);
-        (result, report)
-    }
-
-    /// [`TrafficModel::run`], additionally returning the merged
-    /// [`TelemetryReport`] (same contract as
-    /// [`MemorySystem::run_telemetry`]).
-    pub fn run_telemetry(
-        self,
-        sys: MemorySystem,
-        trace: &Trace,
-    ) -> (SimResult, ClosedLoopReport, TelemetryReport) {
-        // Materialized runs ride the streamed demux over a borrowing
-        // adapter — one code path, pinned identical by the regression
-        // tests.
-        self.run_stream_telemetry(sys, &mut trace.stream())
-    }
-
-    /// [`TrafficModel::run`] over an [`AccessStream`]: the closed loop
-    /// demuxes the stream into per-device windows on the fly, so runs of
-    /// any length need only the accesses near the current injection
-    /// horizon in memory.
+    /// Runs a stream closed-loop and finalises the result. The closed
+    /// loop demuxes the stream into per-device windows on the fly, so runs
+    /// of any length need only the accesses near the current injection
+    /// horizon in memory; a materialized trace runs through its borrowing
+    /// adapter, `run_stream(sys, &mut trace.stream())`.
     ///
     /// # Panics
     ///
@@ -623,7 +604,8 @@ impl TrafficModel {
     }
 
     /// [`TrafficModel::run_stream`], additionally returning the merged
-    /// [`TelemetryReport`].
+    /// [`TelemetryReport`] (same contract as
+    /// [`MemorySystem::run_stream_telemetry`]).
     ///
     /// # Panics
     ///
@@ -666,6 +648,7 @@ mod tests {
     use crate::system::SystemConfig;
     use planaria_core::NullPrefetcher;
     use planaria_trace::apps::{profile, AppId};
+    use planaria_trace::Trace;
 
     fn small_trace() -> Trace {
         profile(AppId::HoK).scaled(2_000).build()
@@ -674,11 +657,11 @@ mod tests {
     #[test]
     fn infinite_window_matches_open_loop() {
         let trace = small_trace();
-        let open =
-            MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new())).run(&trace);
-        let (closed, report) = TrafficModel::new(TrafficConfig { window: usize::MAX }).run(
+        let open = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()))
+            .run_stream(&mut trace.stream());
+        let (closed, report) = TrafficModel::new(TrafficConfig { window: usize::MAX }).run_stream(
             MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new())),
-            &trace,
+            &mut trace.stream(),
         );
         assert_eq!(open, closed, "infinite window must reproduce open loop bit-for-bit");
         assert_eq!(report.window, usize::MAX);
@@ -687,9 +670,9 @@ mod tests {
     #[test]
     fn small_window_throttles_injection() {
         let trace = small_trace();
-        let (r, report) = TrafficModel::new(TrafficConfig::new(1)).run(
+        let (r, report) = TrafficModel::new(TrafficConfig::new(1)).run_stream(
             MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new())),
-            &trace,
+            &mut trace.stream(),
         );
         assert_eq!(r.accesses, trace.len() as u64, "every access still injects");
         assert!(
@@ -712,7 +695,8 @@ mod tests {
         let spec = profile(AppId::HoK).scaled(2_000);
         let trace = spec.build();
         let mk = || MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
-        let (mat, mat_report) = TrafficModel::new(TrafficConfig::new(2)).run(mk(), &trace);
+        let (mat, mat_report) =
+            TrafficModel::new(TrafficConfig::new(2)).run_stream(mk(), &mut trace.stream());
         let (str_r, str_report) =
             TrafficModel::new(TrafficConfig::new(2)).run_stream(mk(), &mut spec.stream());
         assert_eq!(mat, str_r, "closed-loop result diverged between streamed and materialized");
@@ -727,8 +711,8 @@ mod tests {
         // snapshot replay bit-identical to uninterrupted runs.
         let trace = small_trace();
         let mk = || MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
-        let (batch, batch_report, _) =
-            TrafficModel::new(TrafficConfig::new(2)).run_telemetry(mk(), &trace);
+        let (batch, batch_report) =
+            TrafficModel::new(TrafficConfig::new(2)).run_stream(mk(), &mut trace.stream());
 
         for (chunk, budget) in [(1usize, 1usize), (7, 3), (4096, usize::MAX)] {
             let mut sys = mk();

@@ -51,4 +51,4 @@ mod trace;
 
 pub use stream::{AccessStream, TraceStream, WorkloadStream};
 pub use synth::{ComponentSpec, WeightedComponent, WorkloadSpec};
-pub use trace::{DeviceStream, Trace, TraceSummary};
+pub use trace::{Trace, TraceSummary};

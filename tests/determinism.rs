@@ -64,7 +64,7 @@ fn closed_loop_simulation_is_deterministic() {
     let run = || {
         let trace = profile(AppId::Fort).scaled(20_000).build();
         let sys = MemorySystem::new(SystemConfig::default(), PrefetcherKind::Planaria.build());
-        TrafficModel::new(TrafficConfig::new(2)).run(sys, &trace)
+        TrafficModel::new(TrafficConfig::new(2)).run_stream(sys, &mut trace.stream())
     };
     let (r1, c1) = run();
     let (r2, c2) = run();

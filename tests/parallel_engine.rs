@@ -90,10 +90,11 @@ fn engine_honours_per_job_config_and_warmup() {
 
     let direct_plain =
         planaria_sim::MemorySystem::new(SystemConfig::default(), PrefetcherKind::Bop.build())
-            .run(&trace);
+            .run_stream(&mut trace.stream());
     let direct_warm =
         planaria_sim::MemorySystem::new(SystemConfig::default(), PrefetcherKind::Bop.build())
-            .run_with_warmup(&trace, 0.5);
+            .run_stream_telemetry(&mut trace.stream(), 0.5)
+            .0;
 
     assert_eq!(results[0], direct_plain);
     assert_eq!(results[2], direct_warm);
