@@ -47,6 +47,15 @@ step "perfbench compiles against the workspace crates"
 CARGO_TARGET_DIR=target/perfbench cargo check --offline --locked --all-targets \
     --manifest-path perfbench/Cargo.toml
 
+step "serve load peak RSS per device (2000 sessions, debug build)"
+# Runs in `fast` mode too: --check fails above 112 KiB of peak RSS
+# per device (serve_load's MAX_RSS_KB_PER_DEVICE). A lean session measures
+# ~87 KiB in this debug run; before sessions sized their queues and maps by
+# use it measured ~160 KiB.
+cargo run -q -p planaria-bench --bin serve_load -- \
+    --devices 2000 --len 40 --out target/serve_load_fast.json
+cargo run -q -p planaria-bench --bin serve_load -- --check target/serve_load_fast.json
+
 if [[ "${1:-}" != "fast" ]]; then
     step "perf baseline (single-thread throughput -> BENCH_perf.json)"
     cargo run --release -q -p planaria-bench --bin perf_baseline
@@ -62,7 +71,10 @@ if [[ "${1:-}" != "fast" ]]; then
     # The service-layer scale gate: every session is a live snapshottable
     # state machine (SC + prefetcher + DRAM), all resident at once. Short
     # per-session traces keep the wall clock down; the concurrency is the
-    # point. --check validates the emitted planaria-serve-v1 document.
+    # point. --check validates the emitted planaria-serve-v1 document and
+    # its peak-RSS-per-device bound. Measured at 10k devices x 40 accesses
+    # on a 2-core host: 829 MiB peak (85 KiB per device), so this step
+    # needs ~8.1 GiB (~15.3 GiB at the earlier 160 KiB/device).
     cargo run --release -q -p planaria-bench --bin serve_load -- \
         --devices 100000 --len 40 --out target/serve_load_ci.json
     cargo run --release -q -p planaria-bench --bin serve_load -- --check target/serve_load_ci.json

@@ -8,6 +8,10 @@
 //! document. The serving library itself never reads a clock (invariant
 //! R2); all timing here rides the [`ShardObserver`] hooks from outside.
 //!
+//! `--check` also bounds the process's peak resident set per device at
+//! [`MAX_RSS_KB_PER_DEVICE`]. The bound covers the process's fixed base
+//! too, so it is meant for fleets of a thousand devices or more.
+//!
 //! ```sh
 //! cargo run --release -p planaria-bench --bin serve_load -- \
 //!     [--devices N] [--len N] [--shards N] [--workers N] [--quantum N] [--out FILE]
@@ -37,6 +41,10 @@ fn fail(msg: String) -> ! {
 /// core while still holding every session live at once.
 const DEFAULT_DEVICES: usize = 100_000;
 const DEFAULT_LEN: usize = 100;
+
+/// Peak resident KiB per device above which `--check` fails (a lean
+/// session measures ~85 KiB at 10k devices x 40 accesses).
+const MAX_RSS_KB_PER_DEVICE: f64 = 112.0;
 
 /// Labels accepted by `--kind`.
 const ALL_KINDS: [PrefetcherKind; 12] = [
@@ -287,43 +295,51 @@ fn main() {
     eprintln!("wrote {out_path}");
 }
 
-/// Validates a previously written file; exits non-zero on bad JSON or a
-/// structurally incomplete report.
+/// Reports a `--check` failure for `path` and exits 1 (never returns).
+fn reject(path: &str, msg: String) -> ! {
+    eprintln!("{path}: {msg}");
+    std::process::exit(1);
+}
+
+/// Validates a previously written file; exits non-zero on bad JSON, a
+/// structurally incomplete report, or peak RSS above the per-device bound.
 fn check(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("--check: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let doc = match json::parse(&text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("{path}: malformed JSON: {e}");
-            std::process::exit(1);
-        }
-    };
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| reject(path, format!("cannot read: {e}")));
+    let doc = json::parse(&text).unwrap_or_else(|e| reject(path, format!("malformed JSON: {e}")));
     if doc.get("schema").and_then(|v| v.as_str()) != Some("planaria-serve-v1") {
-        eprintln!("{path}: missing planaria-serve-v1 schema marker");
-        std::process::exit(1);
+        reject(path, "missing planaria-serve-v1 schema marker".into());
     }
+    let num = |key: &str| doc.get(key).and_then(|v| v.as_f64());
     for key in ["devices", "len", "shards", "workers", "accesses", "wall_secs", "decisions_per_sec"]
     {
-        if doc.get(key).and_then(|v| v.as_f64()).is_none() {
-            eprintln!("{path}: missing numeric field {key:?}");
-            std::process::exit(1);
+        if num(key).is_none() {
+            reject(path, format!("missing numeric field {key:?}"));
         }
     }
-    let devices = doc.get("devices").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let len = doc.get("len").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let accesses = doc.get("accesses").and_then(|v| v.as_f64()).unwrap_or(0.0);
+    let (devices, len, accesses) =
+        (num("devices").unwrap_or(0.0), num("len").unwrap_or(0.0), num("accesses").unwrap_or(0.0));
     if accesses != devices * len {
-        eprintln!("{path}: accesses {accesses} != devices {devices} x len {len}");
-        std::process::exit(1);
+        reject(path, format!("accesses {accesses} != devices {devices} x len {len}"));
     }
     if doc.get("latency_ns").and_then(|v| v.get("p99")).and_then(|v| v.as_f64()).is_none() {
-        eprintln!("{path}: missing latency_ns.p99");
-        std::process::exit(1);
+        reject(path, "missing latency_ns.p99".into());
     }
-    println!("{path}: well-formed planaria-serve-v1 JSON ({devices} devices)");
+    let peak_kb =
+        num("peak_rss_kb").unwrap_or_else(|| reject(path, "peak_rss_kb was not measured".into()));
+    let per_device = peak_kb / devices;
+    if per_device > MAX_RSS_KB_PER_DEVICE {
+        let bound = MAX_RSS_KB_PER_DEVICE;
+        reject(path, format!("peak RSS {per_device:.1} KiB per device exceeds {bound} KiB"));
+    }
+    let emitted = num("peak_rss_kb_per_device");
+    if emitted.is_none_or(|v| (v - per_device).abs() > 0.05) {
+        reject(path, format!("peak_rss_kb_per_device {emitted:?} != peak_rss_kb / devices"));
+    }
+    println!(
+        "{path}: well-formed planaria-serve-v1 JSON ({devices} devices, \
+         {per_device:.1} KiB peak RSS per device)"
+    );
 }
 
 /// Renders the report document (fixed key order, so diffs are clean).
@@ -383,6 +399,11 @@ fn render(
     w.key("peak_rss_kb");
     match rss_kb {
         Some(kb) => w.u64(kb),
+        None => w.null(),
+    }
+    w.key("peak_rss_kb_per_device");
+    match rss_kb {
+        Some(kb) => w.f64(kb as f64 / devices as f64, 1),
         None => w.null(),
     }
     w.end_object();

@@ -8,7 +8,7 @@
 use std::collections::VecDeque;
 
 use planaria_common::PrefetchRequest;
-use planaria_hash::{set_with_capacity, FastHashSet};
+use planaria_hash::FastHashSet;
 
 /// A bounded FIFO of pending prefetch requests with block-level dedup.
 #[derive(Debug, Clone)]
@@ -25,7 +25,7 @@ pub struct PrefetchQueue {
 }
 
 impl PrefetchQueue {
-    /// Creates a queue holding at most `capacity` requests.
+    /// Creates a queue bounded (not pre-sized) at `capacity` requests.
     ///
     /// # Panics
     ///
@@ -33,8 +33,8 @@ impl PrefetchQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "prefetch queue capacity must be positive");
         Self {
-            queue: VecDeque::with_capacity(capacity),
-            pending_blocks: set_with_capacity(capacity),
+            queue: VecDeque::new(),
+            pending_blocks: FastHashSet::default(),
             capacity,
             dropped_full: 0,
             dropped_duplicate: 0,
@@ -137,6 +137,12 @@ mod tests {
         assert_eq!(q.pop().map(|r| r.addr.as_u64()), Some(0x40));
         assert_eq!(q.pop().map(|r| r.addr.as_u64()), Some(0x80));
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn fresh_queue_reserves_nothing() {
+        let q = PrefetchQueue::new(64);
+        assert_eq!((q.queue.capacity(), q.pending_blocks.capacity()), (0, 0));
     }
 
     #[test]

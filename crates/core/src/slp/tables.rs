@@ -130,9 +130,9 @@ struct SlotMap {
     /// are safe to memoize because the only insertion path, [`Self::alloc`],
     /// refreshes the memo.
     memo_slot: u32,
-    /// Last-touch stamp per slot; meaningful only where `valid` is set and
-    /// only for tables that call [`Self::set_last`] (the PT evicts FIFO and
-    /// never stamps).
+    /// Last-touch stamp per slot; meaningful only where `valid` is set.
+    /// Allocated only by [`Self::stamped`] (the FT and AT, which evict by
+    /// recency); the PT evicts FIFO and leaves it empty.
     lasts: Vec<Cycle>,
     /// Lazy min-heap over `(last, page)` touch snapshots. Every live
     /// slot's *current* key is present (pushed by [`Self::set_last`]);
@@ -152,9 +152,15 @@ impl SlotMap {
             free: (0..slots as u32).rev().collect(),
             memo_page: u64::MAX,
             memo_slot: u32::MAX,
-            lasts: vec![Cycle::ZERO; slots],
+            lasts: Vec::new(),
             heap: BinaryHeap::new(),
         }
+    }
+
+    /// A slot map that also keeps the last-touch stamps behind
+    /// [`Self::set_last`] and [`Self::oldest`].
+    fn stamped(slots: usize) -> Self {
+        Self { lasts: vec![Cycle::ZERO; slots], ..Self::new(slots) }
     }
 
     fn len(&self) -> usize {
@@ -275,7 +281,7 @@ impl FilterTable {
     pub(crate) fn new(capacity: usize, timeout: u64) -> Self {
         assert!(capacity > 0, "FT capacity must be positive");
         Self {
-            slots: SlotMap::new(capacity),
+            slots: SlotMap::stamped(capacity),
             offsets: vec![[0; FT_PROMOTE_COUNT]; capacity],
             counts: vec![0; capacity],
             expiry: VecDeque::new(),
@@ -381,7 +387,7 @@ impl AccumulationTable {
     pub(crate) fn new(capacity: usize, timeout: u64) -> Self {
         assert!(capacity > 0, "AT capacity must be positive");
         Self {
-            slots: SlotMap::new(capacity),
+            slots: SlotMap::stamped(capacity),
             bitmaps: vec![Bitmap16::EMPTY; capacity],
             expiry: VecDeque::new(),
             capacity,
@@ -586,7 +592,7 @@ mod tests {
             ops in proptest::collection::vec((0u64..24, any::<bool>()), 1..400),
         ) {
             const CAP: usize = 8;
-            let mut sm = SlotMap::new(CAP);
+            let mut sm = SlotMap::stamped(CAP);
             let mut model: std::collections::BTreeMap<u64, Cycle> = Default::default();
             for (i, &(page, release)) in ops.iter().enumerate() {
                 let now = Cycle::new(i as u64 + 1);
@@ -636,7 +642,7 @@ mod tests {
             ops in proptest::collection::vec((0u64..32, any::<bool>()), 1..500),
         ) {
             const CAP: usize = 8;
-            let mut sm = SlotMap::new(CAP);
+            let mut sm = SlotMap::stamped(CAP);
             for (i, &(page, release)) in ops.iter().enumerate() {
                 // Divided stamps collide on purpose: the page tiebreak is
                 // where a subtly wrong heap order would surface.
@@ -794,6 +800,14 @@ mod tests {
         assert!(out.is_empty(), "entry refreshed at 90, timeout at 190");
         at.sweep(Cycle::new(191), &mut out);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn only_recency_tables_keep_stamps() {
+        // The PT evicts FIFO, so its slot map holds no last-touch stamps.
+        assert_eq!(PatternTable::new(64).slots.lasts.capacity(), 0);
+        assert_eq!(FilterTable::new(64, 10).slots.lasts.len(), 64);
+        assert_eq!(AccumulationTable::new(64, 10).slots.lasts.len(), 64);
     }
 
     #[test]

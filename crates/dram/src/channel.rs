@@ -91,6 +91,8 @@ pub(crate) struct Channel {
     /// every bump forces a scan before the next command, so the delta
     /// between observations is always a handful, never 2^32.
     bank_versions: Vec<u32>,
+    /// Pending requests; starts empty and grows (mean occupancy is about
+    /// one). The `queue_depth` bound lives in [`Channel::has_room`].
     queue: Vec<Pending>,
     /// Hot scan state, index-parallel to `queue` (same push/swap-remove).
     scan: Vec<ScanEntry>,
@@ -122,8 +124,8 @@ impl Channel {
         Self {
             banks: (0..cfg.map.banks).map(|_| Bank::new()).collect(),
             bank_versions: vec![0; cfg.map.banks],
-            queue: Vec::with_capacity(cfg.queue_depth),
-            scan: Vec::with_capacity(cfg.queue_depth),
+            queue: Vec::new(),
+            scan: Vec::new(),
             next_cmd: Cycle::ZERO,
             next_rd: Cycle::ZERO,
             next_wr: Cycle::ZERO,
@@ -484,5 +486,23 @@ impl Channel {
             }
             self.issue(cand, out);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fresh_channel_reserves_nothing_and_refuses_at_depth() {
+        let cfg = DramConfig { queue_depth: 3, ..DramConfig::lpddr4() };
+        let mut ch = Channel::new(cfg);
+        assert_eq!((ch.queue.capacity(), ch.scan.capacity()), (0, 0));
+        for i in 0..3u64 {
+            assert!(ch.has_room(), "room below depth at {i}");
+            ch.enqueue(RequestId(i), PhysAddr::new(i * 64), false, Priority::Demand, Cycle::ZERO);
+        }
+        assert_eq!(ch.queue_len(), 3);
+        assert!(!ch.has_room(), "refusal fires at exactly queue_depth");
     }
 }

@@ -240,7 +240,8 @@ impl ServedDevice {
     }
 
     /// Whether this device renders its own demand traffic (as opposed to
-    /// being fed externally through [`ServedDevice::try_push`]).
+    /// being fed externally through [`ServedDevice::try_push`]); `false`
+    /// once the session is done and has dropped its source.
     pub fn has_source(&self) -> bool {
         self.source.is_some()
     }
@@ -366,6 +367,10 @@ impl ServedDevice {
         let sys = self.sys.take().expect("drained session still owns its memory system");
         let (result, closed_loop, telemetry) = driver.finish(sys, &self.label);
         self.report = Some(DeviceReport { id: self.spec.id, result, closed_loop, telemetry });
+        // Only the report outlives the session; drained buffers keep capacity.
+        self.source = None;
+        self.mailbox = VecDeque::new();
+        self.scratch = Vec::new();
         DevicePump::Done
     }
 
@@ -379,5 +384,24 @@ impl ServedDevice {
                 other => return other,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finished_session_keeps_only_its_report() {
+        let mut dev = ServedDevice::from_spec(DeviceSpec::new(3, AppId::HoK).scaled(300));
+        while !dev.is_done() {
+            dev.ingest(usize::MAX);
+            dev.quiesce();
+        }
+        assert!(dev.source.is_none());
+        assert_eq!((dev.mailbox.capacity(), dev.scratch.capacity()), (0, 0));
+        assert_eq!(dev.report().map(|r| r.result.accesses), Some(300));
+        let err = dev.snapshot().expect_err("a finished session cannot snapshot");
+        assert!(err.contains("already finished"), "{err}");
     }
 }

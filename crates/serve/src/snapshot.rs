@@ -131,11 +131,11 @@ impl ServedDevice {
     /// assert_eq!(original.report(), restored.report());
     /// ```
     pub fn snapshot(&mut self) -> Result<String, String> {
-        if self.source.is_none() {
-            return Err("externally fed devices cannot snapshot (no replayable source)".into());
-        }
         if self.is_done() {
             return Err("session already finished; persist its report instead".into());
+        }
+        if self.source.is_none() {
+            return Err("externally fed devices cannot snapshot (no replayable source)".into());
         }
         if self.quiesce() != DevicePump::Starved {
             return Err("device finished while quiescing; persist its report instead".into());

@@ -4,7 +4,7 @@ use planaria_cache::{AccessResult, CacheConfig, PrefetchQueue, SetAssocCache};
 use planaria_common::{Cycle, DeviceId, MemAccess, PhysAddr, PrefetchOrigin, PrefetchRequest};
 use planaria_core::Prefetcher;
 use planaria_dram::{Completion, DramConfig, MemoryController, Priority};
-use planaria_hash::{map_with_capacity, FastHashMap};
+use planaria_hash::FastHashMap;
 use planaria_telemetry::{EventKind, Telemetry, TelemetryConfig, TelemetryReport};
 use planaria_trace::stream::AccessStream;
 
@@ -88,17 +88,11 @@ impl Default for SystemConfig {
 /// Almost every fill has zero or one waiter, so the first two live inline
 /// and the steady-state miss path never heap-allocates; only pathological
 /// merge storms touch the spill vector.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct WaiterList {
     inline: [(Cycle, u8); 2],
     len: u8,
     spill: Vec<(Cycle, u8)>,
-}
-
-impl Default for WaiterList {
-    fn default() -> Self {
-        Self { inline: [(Cycle::ZERO, 0); 2], len: 0, spill: Vec::new() }
-    }
 }
 
 impl WaiterList {
@@ -150,7 +144,7 @@ pub struct MemorySystem {
     dram: MemoryController,
     prefetcher: Box<dyn Prefetcher>,
     queue: PrefetchQueue,
-    /// Outstanding fills keyed by block number.
+    /// Outstanding fills keyed by block number (starts empty and grows).
     inflight: FastHashMap<u64, Inflight>,
     scratch: Vec<PrefetchRequest>,
     /// Reusable DRAM-completion buffer (see [`MemorySystem::pump_dram`]).
@@ -168,10 +162,10 @@ pub struct MemorySystem {
     /// Demand latency accumulated per device (always integer-valued, so
     /// the per-device sums reproduce `latency_sum` exactly).
     device_lat: [f64; DeviceId::COUNT],
-    /// When `Some`, every retired DRAM read is logged as
-    /// `(block_number, finish)` for the closed-loop traffic model to
+    /// When `Some`, every demand a retiring DRAM read releases is logged
+    /// as `(device index, finish)` for the closed-loop traffic model to
     /// drain; `None` (the open-loop default) costs nothing.
-    completion_log: Option<Vec<(u64, Cycle)>>,
+    completion_log: Option<Vec<(u8, Cycle)>>,
     /// Governor state: (interval-start useful, interval-start fills,
     /// accesses into interval, currently gated).
     governor_state: GovernorState,
@@ -206,7 +200,7 @@ impl MemorySystem {
             dram: MemoryController::new(cfg.dram),
             prefetcher,
             queue: PrefetchQueue::new(cfg.prefetch_queue_cap),
-            inflight: map_with_capacity(256),
+            inflight: FastHashMap::default(),
             scratch: Vec::new(),
             completions: Vec::new(),
             tel: Telemetry::from_config(&cfg.telemetry),
@@ -268,9 +262,6 @@ impl MemorySystem {
         if c.is_write {
             return; // writeback retired; nothing waits on it
         }
-        if let Some(log) = &mut self.completion_log {
-            log.push((c.addr.block_number(), c.finish));
-        }
         let Some(entry) = self.inflight.remove(&c.addr.block_number()) else {
             return;
         };
@@ -280,6 +271,9 @@ impl MemorySystem {
             let lat = (self.cfg.sc_hit_latency + c.finish.since(w)) as f64;
             self.latency_sum += lat;
             self.device_lat[dev as usize] += lat;
+            if let Some(log) = &mut self.completion_log {
+                log.push((dev, c.finish));
+            }
         }
         // A prefetch nobody consumed fills speculatively; anything a demand
         // waited on fills as a demand line.
@@ -323,14 +317,14 @@ impl MemorySystem {
         self.pump_dram(now);
     }
 
-    /// Starts recording `(block_number, finish)` for every retired DRAM
-    /// read (closed-loop mode only; the log is off by default).
+    /// Starts recording `(device index, finish)` for every demand a DRAM
+    /// fill releases (closed-loop mode only; off by default; idempotent).
     pub(crate) fn enable_completion_log(&mut self) {
-        self.completion_log = Some(Vec::new());
+        self.completion_log.get_or_insert_with(Vec::new);
     }
 
     /// Moves all logged completions into `out`, leaving the log empty.
-    pub(crate) fn drain_completion_log(&mut self, out: &mut Vec<(u64, Cycle)>) {
+    pub(crate) fn drain_completion_log(&mut self, out: &mut Vec<(u8, Cycle)>) {
         if let Some(log) = &mut self.completion_log {
             out.append(log);
         }
@@ -715,7 +709,9 @@ impl MemorySystem {
         // their arrivals were discarded with `demand_count`, so charging
         // the latency alone would inflate steady-state AMAT. The fills
         // themselves still land correctly: merged demand entries already
-        // carry `origin: None` and keep their `wrote` flag.
+        // carry `origin: None` and keep their `wrote` flag. (The closed
+        // loop retires its window slots from these waiters: no warmup.)
+        debug_assert!(self.completion_log.is_none(), "warmup under the closed loop");
         for entry in self.inflight.values_mut() {
             entry.waiters.clear();
         }
@@ -747,7 +743,7 @@ impl MemorySystem {
     pub(crate) fn finish_parts_logged(
         mut self,
         workload: &str,
-    ) -> (SimResult, planaria_dram::DramStats, TelemetryReport, Vec<(u64, Cycle)>) {
+    ) -> (SimResult, planaria_dram::DramStats, TelemetryReport, Vec<(u8, Cycle)>) {
         // Issue whatever prefetches still fit, then let DRAM finish.
         while let Some(req) = self.next_issuable() {
             self.dram
@@ -870,6 +866,12 @@ mod tests {
 
     fn read(addr: u64, cycle: u64) -> MemAccess {
         MemAccess::read(PhysAddr::new(addr), Cycle::new(cycle))
+    }
+
+    #[test]
+    fn fresh_system_reserves_no_inflight_capacity() {
+        let sys = MemorySystem::new(SystemConfig::default(), Box::new(NullPrefetcher::new()));
+        assert_eq!(sys.inflight.capacity(), 0);
     }
 
     #[test]

@@ -58,7 +58,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use planaria_common::{Cycle, DeviceId, MemAccess};
-use planaria_hash::{map_with_capacity, FastHashMap};
 use planaria_telemetry::TelemetryReport;
 use planaria_trace::stream::AccessStream;
 
@@ -143,7 +142,7 @@ pub struct ClosedLoopReport {
 ///
 /// One slot exists per [`DeviceId`]; slots whose device never appears in
 /// the source stream stay inert (`first_arrival` remains `None`).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct DevState {
     /// Demuxed-but-not-yet-injected accesses, as `(stream position,
     /// access)` — the position is the tiebreak that reproduces the
@@ -175,19 +174,10 @@ struct DevState {
 }
 
 impl DevState {
-    fn new() -> Self {
-        Self {
-            buf: VecDeque::new(),
-            outstanding: 0,
-            next_ready: Cycle::ZERO,
-            need_gap: false,
-            last_inject: Cycle::ZERO,
-            last_recorded: Cycle::ZERO,
-            last_completion: Cycle::ZERO,
-            first_arrival: None,
-            last_arrival: Cycle::ZERO,
-            seen: 0,
-        }
+    /// One of the device's outstanding requests completed at `finish`.
+    fn retire(&mut self, finish: Cycle) {
+        self.outstanding -= 1;
+        self.last_completion = self.last_completion.max(finish);
     }
 }
 
@@ -256,13 +246,13 @@ pub enum Pump {
 pub struct ClosedLoopDriver {
     cfg: TrafficConfig,
     devs: Vec<DevState>,
-    /// Demand misses waiting on a DRAM fill: block number -> the local
-    /// dev-slot of every waiting injection (one entry per merged miss).
-    waiting: FastHashMap<u64, Vec<usize>>,
     /// SC hits complete after the fixed lookup latency.
     hit_heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Scratch buffer for draining the completion log.
-    log: Vec<(u64, Cycle)>,
+    /// Scratch buffer for draining the completion log. A demand miss waits
+    /// as one of its in-flight fill's waiters inside the memory system,
+    /// which logs `(device index, finish)` for each waiter the fill
+    /// releases, so misses need no bookkeeping here.
+    log: Vec<(u8, Cycle)>,
     clock: Cycle,
     /// Stream position of the next offered access (injection tiebreak).
     seq: u64,
@@ -274,8 +264,6 @@ pub struct ClosedLoopDriver {
     closed: bool,
     /// The clock has been initialised from the first arrival.
     primed: bool,
-    /// The memory system's completion log has been enabled.
-    enabled: bool,
     /// Offered-but-not-yet-injected accesses across all devices.
     buffered: usize,
     /// Total accesses injected so far.
@@ -287,8 +275,7 @@ impl ClosedLoopDriver {
     pub fn new(cfg: TrafficConfig) -> Self {
         Self {
             cfg,
-            devs: (0..DeviceId::COUNT).map(|_| DevState::new()).collect(),
-            waiting: map_with_capacity(256),
+            devs: (0..DeviceId::COUNT).map(|_| DevState::default()).collect(),
             hit_heap: BinaryHeap::new(),
             log: Vec::new(),
             clock: Cycle::ZERO,
@@ -296,7 +283,6 @@ impl ClosedLoopDriver {
             last_cycle: Cycle::ZERO,
             closed: false,
             primed: false,
-            enabled: false,
             buffered: 0,
             injected: 0,
         }
@@ -361,10 +347,7 @@ impl ClosedLoopDriver {
     /// after [`Pump::NeedInput`] or [`Pump::Budget`] resumes exactly
     /// where the run left off.
     pub fn pump(&mut self, sys: &mut MemorySystem, mut budget: usize) -> Pump {
-        if !self.enabled {
-            sys.enable_completion_log();
-            self.enabled = true;
-        }
+        sys.enable_completion_log();
         if !self.primed {
             // Prime the clock from the first recorded arrival, exactly
             // like the batch model does after its first demux pull.
@@ -389,23 +372,15 @@ impl ClosedLoopDriver {
             // Re-entering after a pause re-runs this as a no-op (no time
             // passed, nothing new completed).
             sys.drain_completion_log(&mut self.log);
-            for (block, finish) in self.log.drain(..) {
-                if let Some(ws) = self.waiting.remove(&block) {
-                    for slot in ws {
-                        self.devs[slot].outstanding -= 1;
-                        self.devs[slot].last_completion =
-                            self.devs[slot].last_completion.max(finish);
-                    }
-                }
+            for (dev, finish) in self.log.drain(..) {
+                self.devs[dev as usize].retire(finish);
             }
             while let Some(&Reverse((finish, slot))) = self.hit_heap.peek() {
                 if finish > self.clock.as_u64() {
                     break;
                 }
                 self.hit_heap.pop();
-                self.devs[slot].outstanding -= 1;
-                self.devs[slot].last_completion =
-                    self.devs[slot].last_completion.max(Cycle::new(finish));
+                self.devs[slot].retire(Cycle::new(finish));
             }
 
             // The next injection: among devices with a buffered access and
@@ -496,8 +471,6 @@ impl ClosedLoopDriver {
             d.need_gap = true;
             if hit {
                 self.hit_heap.push(Reverse((self.clock.as_u64() + sc_hit_latency, slot)));
-            } else {
-                self.waiting.entry(access.addr.block_number()).or_default().push(slot);
             }
             self.injected += 1;
             budget -= 1;
@@ -524,18 +497,11 @@ impl ClosedLoopDriver {
         // Settle what is still in flight: hits complete unconditionally,
         // misses at whatever completion time the final DRAM drain reports.
         while let Some(Reverse((finish, slot))) = self.hit_heap.pop() {
-            self.devs[slot].outstanding -= 1;
-            self.devs[slot].last_completion =
-                self.devs[slot].last_completion.max(Cycle::new(finish));
+            self.devs[slot].retire(Cycle::new(finish));
         }
         let (result, _, telemetry, tail) = sys.finish_parts_logged(workload);
-        for (block, finish) in tail {
-            if let Some(ws) = self.waiting.remove(&block) {
-                for slot in ws {
-                    self.devs[slot].outstanding -= 1;
-                    self.devs[slot].last_completion = self.devs[slot].last_completion.max(finish);
-                }
-            }
+        for (dev, finish) in tail {
+            self.devs[dev as usize].retire(finish);
         }
         debug_assert!(self.devs.iter().all(|d| d.outstanding == 0), "all requests must retire");
 

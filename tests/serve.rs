@@ -2,10 +2,11 @@
 //! bit-identical to the batch closed loop, snapshots restore with exact
 //! continuations, and results are independent of worker count.
 
-use planaria_common::json;
+use planaria_common::{json, AccessKind, Cycle, DeviceId, MemAccess, PhysAddr};
 use planaria_serve::{DeviceSpec, Push, ServeConfig, ServedDevice, Service, SNAPSHOT_SCHEMA};
 use planaria_sim::{MemorySystem, PrefetcherKind, TrafficConfig, TrafficModel};
 use planaria_trace::apps::AppId;
+use planaria_trace::Trace;
 
 /// A small spec that exercises the full Planaria stack quickly.
 fn spec(id: u64, app: AppId, length: usize) -> DeviceSpec {
@@ -196,4 +197,64 @@ fn shard_telemetry_merge_conserves_lifecycle_counters() {
         merged.counters.issued.iter().sum::<u64>() > 0,
         "Planaria devices must actually issue prefetches in this workload"
     );
+}
+
+#[test]
+fn closed_loop_merge_storm_retires_every_waiter_at_its_fill() {
+    // cpu0 misses on block 0 and next-line prefetches block 1; three
+    // demands from two other requestors then merge into that in-flight
+    // prefetch (the first turns it into a late demand fill, the third
+    // spills past the fill's inline waiter slots).
+    let at = |block: u64, device, cycle| {
+        MemAccess::new(PhysAddr::new(block * 64), AccessKind::Read, device, Cycle::new(cycle))
+    };
+    let accesses = vec![
+        at(0, DeviceId::Cpu(0), 0),
+        at(1, DeviceId::Cpu(1), 1),
+        at(1, DeviceId::Gpu, 2),
+        at(1, DeviceId::Cpu(1), 3),
+    ];
+    let mut spec = spec(0, AppId::HoK, accesses.len());
+    spec.kind = PrefetcherKind::NextLine;
+    spec.window = 4;
+    let hit_latency = spec.system.sc_hit_latency as f64;
+
+    let sys = MemorySystem::new(spec.system, spec.kind.build());
+    let label = spec.workload().abbr;
+    let batch = TrafficModel::new(TrafficConfig::new(spec.window))
+        .run_stream_telemetry(sys, &mut Trace::new(label, accesses.clone()).stream());
+
+    let mut dev = ServedDevice::external(spec);
+    for &a in &accesses {
+        assert_eq!(dev.try_push(a), Push::Accepted);
+    }
+    dev.close_ingress();
+    while !dev.is_done() {
+        dev.pump(1);
+    }
+    let served = dev.into_report();
+    assert_eq!(batch.0, served.result);
+    assert_eq!(batch.1, served.closed_loop);
+    assert_eq!(batch.2, served.telemetry);
+    assert_eq!(served.result.late_prefetches, 1, "the first merge met an in-flight prefetch");
+    assert_eq!(served.result.traffic.demand_reads, 1, "block 1 was never fetched twice");
+
+    // No device was window-stalled, so every demand injected at its
+    // recorded cycle and paid `hit latency + fill finish - arrival`. Each
+    // device's demands wait on one fill, with mean arrival 0 (cpu0) or 2
+    // (cpu1 at 1 and 3, gpu at 2); inverting its AMAT gives that fill's
+    // finish, which must be exactly where its last request completed.
+    for (device, mean_arrival) in
+        [(DeviceId::Cpu(0), 0.0), (DeviceId::Cpu(1), 2.0), (DeviceId::Gpu, 2.0)]
+    {
+        let stat = served.result.device_stats.iter().find(|s| s.device == device.label());
+        let outcome = served.closed_loop.devices.iter().find(|o| o.device == device.label());
+        let (stat, outcome) = (stat.expect("device stat"), outcome.expect("device outcome"));
+        let fill_finish = stat.amat_cycles + mean_arrival - hit_latency;
+        assert_eq!(outcome.derived_finish as f64, fill_finish, "{}", device.label());
+    }
+    let finish = |d: DeviceId| {
+        served.closed_loop.devices.iter().find(|o| o.device == d.label()).map(|o| o.derived_finish)
+    };
+    assert_eq!(finish(DeviceId::Cpu(1)), finish(DeviceId::Gpu), "one fill released both");
 }
